@@ -13,14 +13,12 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import decision as dd
 from .cones import contains, is_invariant, sample_points
 from .decision import Decision
 from .errors import ConelabError, HypothesesNotMet, NotCommuting, NotDiagonalizable
 from .fixtures import FamilyData, fixture_names, load_fixture
-from .linalg import ToleranceConfig, eigen_decompose, enumerate_words, is_vandergraft
+from .linalg import ToleranceConfig, enumerate_words, is_vandergraft
 from .planar import decide_common_2x2
 from .plotting import render_family_svg
 from .schemas import (
@@ -79,17 +77,6 @@ def _load_family(path) -> FamilyData:
     return family_from_json(_load_json(path))
 
 
-def _is_commuting_diagonalizable(mats, tol) -> bool:
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            bound = tol.eig_cluster_tol * max(1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j]))
-            if np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]) > bound:
-                return False
-    return all(
-        all(ev.degree == 1 for ev in eigen_decompose(M, tol).eigenvalues) for M in mats
-    )
-
-
 def cmd_classify(args) -> int:
     fd = _load_family(args.family)
     tol = _tol_from_args(args)
@@ -120,8 +107,10 @@ def _route_auto(fd: FamilyData, tol, seed, bound, wordlen) -> Decision:
     mats = list(fd.matrices)
     if fd.dimension == 2:
         return decide_common_2x2(mats, tol)
-    if _is_commuting_diagonalizable(mats, tol):
+    try:
         return decide_simdiag(mats, tol, bound=bound, seed=seed, word_len=wordlen)
+    except (NotCommuting, NotDiagonalizable):
+        pass  # not simultaneously diagonalizable: try the sufficient routes
     screens = [is_vandergraft(M, tol) for M in mats]
     if not all(r.is_vandergraft for r in screens):
         bad = next(i for i, r in enumerate(screens) if not r.is_vandergraft)

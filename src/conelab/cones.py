@@ -4,6 +4,9 @@ Two witness shapes are supported: polyhedral cones given by unit generators,
 and quadratic (ellipsoidal) cones given by an axis plus a positive-definite
 form on its orthogonal complement.  Membership for polyhedral cones is a
 nonnegative least-squares projection, so every query also yields a distance.
+Invariance is decided exactly for both shapes: by the images of the
+generators, and for quadratic cones by an S-lemma certificate plus a
+dual-cone test (see `is_invariant`).
 """
 
 from __future__ import annotations
@@ -12,15 +15,18 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.linalg import eigvals
 from scipy.optimize import brentq, nnls
 
 from .errors import DimensionMismatch, EmptyInput
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, eigen_decompose, matrix_rank, nullspace
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, matrix_rank
 
 # Offset factors (relative to geom_tol) for the interior probe and the
 # strictness margin of quadratic interior tests.
 _INTERIOR_PROBE_FACTOR = 1e3
-_BOUNDARY_GRID_SIZE = 10_000
+# Membership treats vectors shorter than 2^30 units of the smallest subnormal
+# as the zero vector: their direction has fewer than 30 significant bits.
+_ZERO_NORM = 2.0 ** -1044
 
 
 @dataclass(frozen=True)
@@ -108,10 +114,10 @@ class PropernessReport:
 class InvarianceReport:
     invariant: bool
     max_distance: float
-    method: str  # "generators" | "psd" | "sampled"
-    worst: tuple | None = None
-    psd_margin: float | None = None
-    notes: str = ""
+    method: str  # "generators" | "psd"
+    worst: tuple | None = None       # (kind, index, point of K) whose image is farthest out
+    psd_margin: float | None = None  # relative lambda_min(tQ - A^T Q A) at the chosen t
+    multiplier: float | None = None  # S-lemma multiplier t when a quadratic cone is invariant
 
     def __bool__(self):
         return self.invariant
@@ -122,6 +128,16 @@ def unit(v: np.ndarray) -> np.ndarray:
     if n < 1e-300:
         raise EmptyInput("cannot normalize the zero vector")
     return v / n
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, rescaling tiny vectors first: squares of entries below
+    ~1e-154 lose precision or underflow to zero."""
+    n = float(np.linalg.norm(v))
+    if n > 1e-150:
+        return n
+    m = float(np.max(np.abs(v)))
+    return m * float(np.linalg.norm(v / m)) if m > 0 else 0.0
 
 
 def conic_hull(vectors, dim: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> PolyhedralCone:
@@ -156,8 +172,8 @@ def _nnls_distance(K: PolyhedralCone, v: np.ndarray) -> tuple[float, np.ndarray]
 
 def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig,
                            want_interior: bool = True) -> MembershipResult:
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
+    nv = _norm(v)
+    if nv < _ZERO_NORM:
         return MembershipResult(True, 0.0, False)
     # Membership in a cone is scale-invariant; working on the unit vector
     # keeps flags independent of the input scale.
@@ -229,8 +245,8 @@ def _quad_distance(K: QuadraticCone, v: np.ndarray) -> float:
 
 
 def _quadratic_membership(K: QuadraticCone, v: np.ndarray, tol: ToleranceConfig) -> MembershipResult:
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
+    nv = _norm(v)
+    if nv < _ZERO_NORM:
         return MembershipResult(True, 0.0, False)
     u = v / nv
     c, z = _quad_coords(K, u)
@@ -294,91 +310,92 @@ def prune_generators(K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_TOL) -> P
     return PolyhedralCone(K.dim, np.array(sorted(rows, key=lambda v: tuple(v))))
 
 
-def _halton(index: int, base: int) -> float:
-    f, r = 1.0, 0.0
-    while index > 0:
-        f /= base
-        r += f * (index % base)
-        index //= base
-    return r
+def _violating_direction(Q: np.ndarray, P: np.ndarray, t_start: float) -> np.ndarray:
+    """v with v^T Q v <= 0 < v^T P v, given that no t >= 0 makes tQ - P PSD.
 
+    For the lambda_min eigenvector v_t of tQ - P, v_t^T Q v_t is a
+    supergradient of the concave t -> lambda_min(tQ - P).  Bisection on its
+    sign brackets the maximiser t*; the eigenvectors on both sides combine
+    into one with v^T Q v = 0, where v^T P v = -lambda_min(t*Q - P) > 0.
+    """
+    def vec(t):
+        return np.linalg.eigh(t * Q - P)[1][:, 0]
 
-def _boundary_grid(K: QuadraticCone, count: int = _BOUNDARY_GRID_SIZE) -> np.ndarray:
-    """Deterministic grid of boundary points c = 1, z^T V z = 1 (rows)."""
-    d = K.dim - 1
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif d == 2:
-        ang = 2.0 * np.pi * np.arange(count) / count
-        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    else:
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37][:d]
-        pts = np.array([[_halton(i + 1, p) for p in primes] for i in range(count)])
-        dirs = 2.0 * pts - 1.0
-        norms = np.linalg.norm(dirs, axis=1)
-        dirs = dirs[norms > 1e-6] / norms[norms > 1e-6, None]
-    scale = np.sqrt(np.einsum("ij,jk,ik->i", dirs, K.form, dirs))
-    zs = dirs / scale[:, None]
-    return K.axis[None, :] + zs @ K.complement_basis.T
-
-
-def _quad_inside_batch(K: QuadraticCone, pts: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    norms = np.linalg.norm(pts, axis=1)
-    norms[norms == 0] = 1.0
-    U = pts / norms[:, None]
-    c = U @ K.axis
-    Z = U @ K.complement_basis
-    q = np.einsum("ij,jk,ik->i", Z, K.form, Z)
-    return (c >= -tol.geom_tol) & (q <= c * c + tol.geom_tol)
+    lo, v_lo = 0.0, vec(0.0)
+    if v_lo @ Q @ v_lo <= 0:
+        return v_lo
+    hi = max(t_start, 1.0)
+    v_hi = vec(hi)
+    while v_hi @ Q @ v_hi > 0:  # as t grows, v_t tends to the axis
+        lo, v_lo, hi = hi, v_hi, 2.0 * hi
+        v_hi = vec(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        v = vec(mid)
+        if v @ Q @ v > 0:
+            lo, v_lo = mid, v
+        else:
+            hi, v_hi = mid, v
+    if v_lo @ v_hi < 0:
+        v_lo = -v_lo
+    a, b, c = v_hi @ Q @ v_hi, v_hi @ Q @ v_lo, v_lo @ Q @ v_lo
+    return v_hi + (np.sqrt(b * b - a * c) - b) / c * v_lo
 
 
 def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> InvarianceReport:
-    rho = eigen_decompose(A, tol).spectral_radius
+    """Exact invariance test for K = {v : v^T Q v <= 0, x^T v >= 0}, x the axis.
+
+    S-lemma: A maps K into K u -K iff some t >= 0 makes tQ - A^T Q A positive
+    semidefinite; as x^T Q x = -1, such t is at most -x^T A^T Q A x.  The
+    concave t -> lambda_min(tQ - A^T Q A) is nonnegative on an interval whose
+    ends are 0 or real generalized eigenvalues of (A^T Q A, Q), so those
+    points and the midpoints between them decide the certificate.  A cone
+    inside K u -K lies in K iff its axis components are nonnegative, i.e. iff
+    A^T x is in the dual cone K* (axis x, form V^-1).
+    """
+    scale = float(np.linalg.norm(A))
+    An = A / scale if scale > 0 else A  # positive scaling keeps invariance
     Q = K.ambient_form()
-    M = rho * rho * Q - A.T @ Q @ A
-    M = 0.5 * (M + M.T)
-    scale = max(1.0, rho * rho * float(np.linalg.norm(Q, 2)))
-    margin = float(np.min(np.linalg.eigvalsh(M))) / scale
-    axis_component = float(K.axis @ (A @ K.axis))
+    P = An.T @ Q @ An
+    P = 0.5 * (P + P.T)
+    x, B = K.axis, K.complement_basis
+    t_max = -float(x @ P @ x)
+    ts = np.array([0.0])
+    if t_max > 0:
+        gen = eigvals(P, Q).real
+        ts = np.unique(np.concatenate([ts, [t_max], gen[(gen > 0) & (gen < t_max)]]))
+        ts = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])])
+    q_norm = float(np.linalg.norm(Q, 2))
 
-    conclusive = margin >= -tol.geom_tol and axis_component > tol.geom_tol * max(1.0, float(np.linalg.norm(A)))
-    if conclusive:
-        # The connectivity argument behind the certificate needs ker(A) to
-        # miss K; verify when A is (nearly) singular.
-        kern = nullspace(A, tol.rank_tol)
-        for j in range(kern.shape[1]):
-            if kern.shape[1] > 1:
-                conclusive = False
-                break
-            dvec = np.real(kern[:, j])
-            if contains(K, dvec, tol).inside or contains(K, -dvec, tol).inside:
-                conclusive = False
-                break
-    if conclusive:
-        return InvarianceReport(True, 0.0, "psd", psd_margin=margin)
+    def relative_lambda_min(s):
+        return float(np.linalg.eigvalsh(s * Q - P)[0]) / (q_norm * (1.0 + s))
 
-    pts = _boundary_grid(K)
-    images = pts @ A.T
-    ok = _quad_inside_batch(K, images, tol)
-    if np.all(ok):
-        return InvarianceReport(True, 0.0, "sampled", psd_margin=margin,
-                                notes="certificate inconclusive; grid of boundary points verified")
-    worst_idx = int(np.argmin(ok))
-    bad = np.flatnonzero(~ok)
-    dists = [_quad_distance(K, images[i]) for i in bad[:32]]
-    worst_local = int(bad[int(np.argmax(dists))])
-    return InvarianceReport(False, float(max(dists)), "sampled",
-                            worst=("boundary-point", worst_local, pts[worst_local].tolist()),
-                            psd_margin=margin)
+    margin, t = max((relative_lambda_min(s), s) for s in ts.tolist())
+
+    if margin >= -tol.geom_tol:
+        # Dual-cone test at the point p = x + B z (z^T V z <= 1) of K
+        # that minimizes the axis component x^T A p of its image.
+        h = An.T @ x
+        g = B.T @ h
+        Vg = np.linalg.solve(K.form, g)
+        r = float(np.sqrt(max(float(g @ Vg), 0.0)))
+        p = x - (B @ Vg) / r if r > 0 else x
+        if float(h @ p) >= -tol.geom_tol * float(np.linalg.norm(p)):
+            return InvarianceReport(True, 0.0, "psd", psd_margin=margin, multiplier=t * scale * scale)
+    else:
+        p = _violating_direction(Q, P, t_max)
+        p = p if float(x @ p) >= 0 else -p
+    return InvarianceReport(False, _quad_distance(K, A @ p), "psd",
+                            worst=("point", 0, p.tolist()), psd_margin=margin)
 
 
 def is_invariant(K: ConeRep, A, tol: ToleranceConfig = DEFAULT_TOL) -> InvarianceReport:
     """Does A map K into itself?
 
     Polyhedral: generator-mapping test (images of generators stay in K).
-    Quadratic: certificate rho(A)^2 Q - A^T Q A positive semidefinite plus a
-    nonnegative axis image; deterministic boundary sampling when the
-    certificate is inconclusive.
+    Quadratic (method "psd", exact): some t >= 0 makes tQ - A^T Q A positive
+    semidefinite and A^T axis lies in the dual cone.  A YES records t as
+    `multiplier`; a NO names a point of K whose image leaves K.
     """
     M = as_square_matrix(A)
     if M.shape[0] != K.dim:

@@ -82,10 +82,6 @@ class HypothesisViolated(ConelabError):
     pass
 
 
-class ProjectionNotConverged(ConelabError):
-    pass
-
-
 class HypothesesNotMet(ConelabError):
     """A sufficient-only decision route cannot be applied.
 

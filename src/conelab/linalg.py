@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooLarge, NonConvergence
+from .errors import DimensionMismatch, DimensionTooLarge, NonConvergence, NotCommuting
 
 MAX_DIM = 32
 
@@ -74,6 +74,32 @@ def nullspace(M: np.ndarray, rank_tol: float) -> np.ndarray:
     cutoff = rank_tol * max(1.0, float(s[0]) if s.size else 1.0)
     num = int(np.sum(s > cutoff))
     return vh[num:].conj().T.reshape(n, -1)
+
+
+def check_commuting(mats, tol: ToleranceConfig) -> None:
+    """Raise NotCommuting unless every pair satisfies
+    ||A_i A_j - A_j A_i|| <= eig_cluster_tol * max(1, ||A_i|| ||A_j||)."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            defect = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+            bound = tol.eig_cluster_tol * max(1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j]))
+            if defect > bound:
+                raise NotCommuting(f"members {i} and {j} do not commute (defect {defect:.3e})")
+
+
+def distinct_eigenvalues(values, tol: ToleranceConfig) -> tuple[list[complex], float]:
+    """Greedy representatives of computed eigenvalues, in (real, imag) order.
+
+    A value joins the first representative within cut =
+    eig_cluster_tol * max(1, max |value|); returns the representatives and
+    the cut.
+    """
+    cut = tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(values))))
+    reps: list[complex] = []
+    for v in sorted(values, key=lambda z: (z.real, z.imag)):
+        if not any(abs(v - r) <= cut for r in reps):
+            reps.append(complex(v))
+    return reps, cut
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, fix_sign
+from .linalg import DEFAULT_TOL, ToleranceConfig, _eigvec_2x2, as_square_matrix
 
 KIND_DIAG = "DiagNonneg"
 KIND_NONDIAG = "NonDiag"
@@ -73,15 +73,6 @@ def _dir(angle: float) -> np.ndarray:
     return np.array([np.cos(angle), np.sin(angle)])
 
 
-def _eigvec2(A: np.ndarray, lam: float) -> np.ndarray:
-    r1 = np.array([A[0, 1], lam - A[0, 0]])
-    r2 = np.array([lam - A[1, 1], A[1, 0]])
-    v = r1 if np.linalg.norm(r1) >= np.linalg.norm(r2) else r2
-    if np.linalg.norm(v) < 1e-14:
-        v = np.array([1.0, 0.0])
-    return fix_sign(unit(v))
-
-
 def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
     """Closed-form case split for a 2x2 matrix (never raises on bad spectra)."""
     M = as_square_matrix(A)
@@ -105,11 +96,11 @@ def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
     if d < -eps * s * s:
         root = np.sqrt(max(disc, 0.0))
         lam1, lam2 = (t + root) / 2.0, (t - root) / 2.0
-        return EigenFrame2(KIND_NEGDET, lam1, lam2, _eigvec2(M, lam1), _eigvec2(M, lam2), None, False, t, d)
+        return EigenFrame2(KIND_NEGDET, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), None, False, t, d)
 
     if disc <= eps * s * s:
         lam = t / 2.0
-        u1 = _eigvec2(M, lam)
+        u1 = _eigvec_2x2(M, lam)
         w = _perp(u1)
         x = float(((M @ w) - lam * w) @ u1)
         ref = w if x > 0 else -w
@@ -117,7 +108,7 @@ def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
 
     root = np.sqrt(disc)
     lam1, lam2 = (t + root) / 2.0, (t - root) / 2.0
-    return EigenFrame2(KIND_DIAG, lam1, lam2, _eigvec2(M, lam1), _eigvec2(M, lam2), None, False, t, d)
+    return EigenFrame2(KIND_DIAG, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), None, False, t, d)
 
 
 def associated_sign(A, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> int:

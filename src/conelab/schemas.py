@@ -35,12 +35,13 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
+    # bool before int: bool is a subclass of int.
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, complex):

@@ -5,8 +5,11 @@ shared dominant eigenvector when the family is normal (or similar to normal
 via a caller-supplied real similarity), and, for commuting families whose
 spectral radii are semisimple, deflation of the shared eigenvector followed
 by a common Lyapunov inequality on the deflated blocks, giving an
-ellipsoidal cone.  A failed hypothesis is reported as "undecided", never as
-a proof of non-existence.
+ellipsoidal cone.  The Lyapunov matrix comes from nested Stein equations,
+after a root-subspace split when some block has unit-modulus eigenvalues,
+and every witness is re-checked with the exact quadratic invariance test.
+A failed hypothesis is reported as "undecided", never as a proof of
+non-existence.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_lyapunov
 
 from . import decision as dd
 from .cones import QuadraticCone, contains, is_invariant
@@ -28,22 +32,29 @@ from .errors import (
     NotNormal,
     NotSemisimple,
     PreconditionFailed,
-    ProjectionNotConverged,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, eigen_decompose, fix_sign, is_vandergraft, nullspace
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    as_square_matrix,
+    check_commuting,
+    distinct_eigenvalues,
+    eigen_decompose,
+    fix_sign,
+    is_vandergraft,
+    nullspace,
+)
 
 # Eigenvalues of modulus above 1 - _UNIT_BAND are treated as unit-modulus
 # when choosing between the series and the reduction construction.
 _UNIT_BAND = 1e-6
-_MAX_SERIES_TERMS = 20_000
-_MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
 class LyapunovCertificate:
     V: np.ndarray                 # real symmetric positive definite
     residuals: tuple[float, ...]  # min eigenvalue of V - B_j^T V B_j, per j
-    method: str                   # "series" | "reduction" | "projection"
+    method: str                   # "series" | "reduction"
     min_eigenvalue: float
 
     def __post_init__(self):
@@ -141,20 +152,13 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
         rep = is_invariant(K, M, tol)
         if not rep.invariant:
             raise InternalInconsistency(f"ice-cream certificate failed for member {j}")
-        checks.append({"matrix": f"A{j}", "method": rep.method, "psd_margin": rep.psd_margin})
+        checks.append({"matrix": f"A{j}", "method": rep.method, "psd_margin": rep.psd_margin,
+                       "multiplier": rep.multiplier})
     return Decision(dd.YES, K, {
         "construction": "ice-cream cone about the shared dominant eigenvector",
         "spectral_radii": rhos,
         "checks": checks,
     }, route="shared-dominant")
-
-
-def _check_commuting(mats, tol):
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            defect = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if defect > tol.eig_cluster_tol * max(1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j])):
-                raise NotCommuting(f"members {i} and {j} do not commute")
 
 
 def _semisimple_eigen_basis(A: np.ndarray, lam: float, tol: ToleranceConfig, x: np.ndarray):
@@ -193,7 +197,7 @@ def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
     if not mats:
         raise EmptyFamily("no matrices")
     m = mats[0].shape[0]
-    _check_commuting(mats, tol)
+    check_commuting(mats, tol)
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
     lams = [float(x @ (M @ x)) for M in mats]
@@ -245,117 +249,74 @@ def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
     return DeflatedFamily(S, lam0, tuple(blocks))
 
 
-def _series_sum(mats, tol) -> np.ndarray:
-    """Truncated sum over exponent tuples of (A1*)^z1 ... A1^z1, innermost last.
+def _series_sum(mats) -> np.ndarray:
+    """Sum over exponent tuples of (A_1*)^z_1 ... (A_n*)^z_n A_n^z_n ... A_1^z_1.
 
-    Each one-dimensional stage is summed until the geometric tail (ratio
-    rho(A_j)^2 < 1) drops below the working tolerance.
+    Summing out one exponent at a time, last member first, makes each stage
+    the solution of one Stein equation X = A* X A + W (unique because
+    rho(A) < 1), which is solved directly instead of term by term.
     """
-    m = mats[0].shape[0]
-    W = np.eye(m, dtype=complex)
+    W = np.eye(mats[0].shape[0], dtype=complex)
     for A in reversed(mats):
-        acc = W.copy()
-        term = W.copy()
-        for _ in range(1, _MAX_SERIES_TERMS):
-            term = A.conj().T @ term @ A
-            acc += term
-            if np.linalg.norm(term) <= 1e-13 * max(1.0, float(np.linalg.norm(acc))):
-                break
-        else:
-            raise ProjectionNotConverged("series truncation did not converge")
-        W = acc
+        W = solve_discrete_lyapunov(A.conj().T, W)
     return W
 
 
 def _lyapunov_complex(mats, tol) -> np.ndarray:
-    """Complex positive definite V >= I with V - A_j* V A_j >= 0 for all j."""
+    """Complex positive definite V >= I with V - A_j* V A_j >= 0 for all j.
+
+    Strictly contractive families take the series.  Otherwise the root
+    subspaces of a unit-radius member split the family into commuting
+    diagonal blocks, each solved recursively; on a unit-modulus root subspace
+    that member acts as a unimodular scalar, so its inequality there is an
+    identity and it is left out.
+    """
     m = mats[0].shape[0]
-    if not mats or m == 0:
-        return np.eye(m, dtype=complex)
-    rhos = [float(np.max(np.abs(np.linalg.eigvals(A)))) if m else 0.0 for A in mats]
+    rhos = [float(np.max(np.abs(np.linalg.eigvals(A)))) for A in mats]
     if max(rhos) < 1.0 - _UNIT_BAND:
-        return _series_sum(mats, tol)
+        return _series_sum(mats)
 
     j_star = next(i for i, r in enumerate(rhos) if r >= 1.0 - _UNIT_BAND)
     A = mats[j_star]
     values = np.linalg.eigvals(A)
-    cut = tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(values))))
-    reps: list[complex] = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        if not any(abs(v - r) <= cut for r in reps):
-            reps.append(complex(v))
+    reps, cut = distinct_eigenvalues(values, tol)
     bases, kinds = [], []
     for lam in reps:
         mult = int(np.sum(np.abs(values - lam) <= cut))
         P = np.linalg.matrix_power(A - lam * np.eye(m), mult)
-        basis = nullspace(P, tol.rank_tol)
-        bases.append(basis)
+        bases.append(nullspace(P, tol.rank_tol))
         kinds.append(abs(lam) >= 1.0 - _UNIT_BAND)
     T = np.column_stack(bases)
     if T.shape[1] != m:
         raise HypothesisViolated("root subspaces do not span; spectrum too clustered")
     if np.linalg.cond(T) > 1e8:
-        raise ProjectionNotConverged("ill-conditioned root-subspace splitting")
+        raise HypothesisViolated("ill-conditioned root-subspace splitting")
     Tinv = np.linalg.inv(T)
-    sizes = [b.shape[1] for b in bases]
-    offs = np.cumsum([0] + sizes)
-    blocks_V = []
-    for bi, (sz, unit_kind) in enumerate(zip(sizes, kinds)):
-        sl = slice(offs[bi], offs[bi + 1])
-        sub = []
-        for i, Mfull in enumerate(mats):
-            W = Tinv @ Mfull @ T
-            if unit_kind and i == j_star:
-                continue  # scalar action: its inequality is an identity
-            sub.append(W[sl, sl])
-        if not unit_kind:
-            sub = [(Tinv @ Mfull @ T)[sl, sl] for Mfull in mats]
-        blocks_V.append(_lyapunov_complex(sub, tol) if sub else np.eye(sz, dtype=complex))
+    split = [Tinv @ M @ T for M in mats]
+    offs = np.cumsum([0] + [b.shape[1] for b in bases])
     Vs = np.zeros((m, m), dtype=complex)
-    for bi in range(len(sizes)):
+    for bi, unit_kind in enumerate(kinds):
         sl = slice(offs[bi], offs[bi + 1])
-        Vs[sl, sl] = blocks_V[bi]
+        sub = [W[sl, sl] for i, W in enumerate(split) if not (unit_kind and i == j_star)]
+        Vs[sl, sl] = _lyapunov_complex(sub, tol) if sub else np.eye(offs[bi + 1] - offs[bi], dtype=complex)
     return Tinv.conj().T @ Vs @ Tinv
 
 
-def _project_feasible(mats, tol) -> np.ndarray:
-    """Alternating-projection fallback onto {V >= I} and the per-member constraints."""
-    m = mats[0].shape[0]
-    V = np.eye(m)
-    n2 = m * m
-    for sweep in range(_MAX_SWEEPS):
-        moved = 0.0
-        for B in mats:
-            W = V - B.T @ V @ B
-            w, U = np.linalg.eigh(0.5 * (W + W.T))
-            if w[0] >= -1e-12:
-                continue
-            Wplus = U @ np.diag(np.maximum(w, 0.0)) @ U.T
-            L = np.eye(n2) - np.kron(B.T, B.T)
-            delta = np.linalg.solve(L, (Wplus - W).reshape(-1)).reshape(m, m)
-            delta = 0.5 * (delta + delta.T)
-            V = V + delta
-            moved = max(moved, float(np.linalg.norm(delta)))
-        w, U = np.linalg.eigh(0.5 * (V + V.T))
-        V = U @ np.diag(np.maximum(w, 1.0)) @ U.T
-        if moved <= 1e-12:
-            return V
-    raise ProjectionNotConverged("alternating projections exceeded the sweep budget")
-
-
-def common_lyapunov(blocks, tol: ToleranceConfig = DEFAULT_TOL,
-                    truncation_depth: int | None = None) -> LyapunovCertificate:
+def common_lyapunov(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> LyapunovCertificate:
     """Real V > 0 with V - B_j^T V B_j >= 0 for commuting blocks with rho <= 1.
 
-    Strictly contractive families use the truncated product series; families
-    with unit-modulus (semisimple) eigenvalues follow the root-subspace
-    reduction; a projection fallback covers numerically stubborn inputs.
+    Strictly contractive families ("series") take the sum over exponent
+    tuples z of (B^z)^T B^z, B^z = B_1^z_1 ... B_n^z_n, solved as nested
+    Stein equations.  Families with
+    unit-modulus (semisimple) eigenvalues ("reduction") are split into root
+    subspaces and solved block by block; an ill-conditioned split raises
+    HypothesisViolated.
     """
     mats = [as_square_matrix(B) for B in blocks]
     if not mats:
         raise EmptyFamily("no blocks")
-    m = mats[0].shape[0]
-    _check_commuting(mats, tol)
+    check_commuting(mats, tol)
+    rhos = []
     for j, B in enumerate(mats):
         spec = eigen_decompose(B, tol)
         if spec.spectral_radius > 1.0 + tol.eig_cluster_tol * max(1.0, float(np.linalg.norm(B))):
@@ -363,16 +324,11 @@ def common_lyapunov(blocks, tol: ToleranceConfig = DEFAULT_TOL,
         for ev in spec.eigenvalues:
             if abs(ev.value) >= 1.0 - _UNIT_BAND and ev.degree > 1:
                 raise HypothesisViolated(f"unit-modulus eigenvalue of block {j} is not semisimple")
+        rhos.append(spec.spectral_radius)
 
-    method = "series" if all(
-        eigen_decompose(B, tol).spectral_radius < 1.0 - _UNIT_BAND for B in mats
-    ) else "reduction"
-    try:
-        Vc = _lyapunov_complex([B.astype(complex) for B in mats], tol)
-        V = np.real(Vc + np.conj(Vc))
-    except ProjectionNotConverged:
-        V = _project_feasible(mats, tol)
-        method = "projection"
+    method = "series" if max(rhos) < 1.0 - _UNIT_BAND else "reduction"
+    Vc = _lyapunov_complex([B.astype(complex) for B in mats], tol)
+    V = np.real(Vc + np.conj(Vc))
     V = 0.5 * (V + V.T)
     V = V / max(1.0, float(np.linalg.norm(V, 2)) / 10.0)  # keep magnitudes tame
     residuals = tuple(float(np.min(np.linalg.eigvalsh(V - B.T @ V @ B))) for B in mats)
@@ -406,7 +362,7 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
         normal_note = str(first_failure)
 
     try:
-        _check_commuting(mats, tol)
+        check_commuting(mats, tol)
     except NotCommuting as exc:
         raise HypothesesNotMet("NotCommuting", f"{exc}; also not normal ({normal_note})") from exc
 
@@ -457,7 +413,8 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
         rep = is_invariant(K, M, tol)
         if not rep.invariant:
             raise InternalInconsistency(f"ellipsoidal witness fails for member {j}")
-        checks.append({"matrix": f"A{j}", "method": rep.method, "psd_margin": rep.psd_margin})
+        checks.append({"matrix": f"A{j}", "method": rep.method, "psd_margin": rep.psd_margin,
+                       "multiplier": rep.multiplier})
     return Decision(dd.YES, K, {
         "construction": "ellipsoidal cone from deflation and a common Lyapunov inequality",
         "lyapunov_method": cert.method,

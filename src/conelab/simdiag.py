@@ -24,12 +24,19 @@ from .errors import (
     EmptyFamily,
     InternalInconsistency,
     NonVandergraftProduct,
-    NotCommuting,
     NotDiagonalizable,
     PointednessCertificateFailed,
     RefinementFailed,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, eigen_decompose, nullspace
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    as_square_matrix,
+    check_commuting,
+    distinct_eigenvalues,
+    eigen_decompose,
+    nullspace,
+)
 
 _MAX_DRAWS = 8
 
@@ -74,27 +81,13 @@ class DominantIndexSet:
     notes: tuple[str, ...] = ()
 
 
-def _check_commuting(mats, tol: ToleranceConfig):
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            lhs = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            bound = tol.eig_cluster_tol * max(1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j]))
-            if lhs > bound:
-                raise NotCommuting(f"members {i} and {j} do not commute (defect {lhs:.3e})")
-
-
 def _split_by_member(basis: np.ndarray, A: np.ndarray, tol: ToleranceConfig):
     """Split an A-invariant subspace (orthonormal complex basis) by A's eigenvalues."""
     R = basis.conj().T @ (A @ basis)
     s = basis.shape[1]
     if s == 1:
         return [(basis, complex(R[0, 0]))]
-    values = np.linalg.eigvals(R)
-    cut = tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(values))))
-    reps: list[complex] = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
-        if not any(abs(v - r) <= cut for r in reps):
-            reps.append(complex(v))
+    reps, cut = distinct_eigenvalues(np.linalg.eigvals(R), tol)
     out = []
     for lam in reps:
         ns = nullspace(R - lam * np.eye(s), max(tol.rank_tol, cut))
@@ -131,7 +124,7 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     m = mats[0].shape[0]
     if any(M.shape[0] != m for M in mats):
         raise DimensionMismatch("family members must share one dimension")
-    _check_commuting(mats, tol)
+    check_commuting(mats, tol)
     for j, M in enumerate(mats):
         spec = eigen_decompose(M, tol)
         if any(ev.degree > 1 for ev in spec.eigenvalues):
@@ -140,24 +133,15 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     rng = np.random.default_rng(seed)
     draws = [rng.uniform(0.5, 1.5, size=len(mats)) for _ in range(_MAX_DRAWS)]
 
-    def count_distinct(c):
-        B0 = sum(cj * M for cj, M in zip(c, mats))
-        values = np.linalg.eigvals(B0)
-        cut = tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(values))))
-        reps = []
-        for v in sorted(values, key=lambda z: (z.real, z.imag)):
-            if not any(abs(v - r) <= cut for r in reps):
-                reps.append(v)
-        return len(reps), reps
-
-    counted = [count_distinct(c) for c in draws]
-    best = int(np.argmax([k for k, _ in counted]))
-    B0 = sum(cj * M for cj, M in zip(draws[best], mats))
+    combos = [sum(cj * M for cj, M in zip(c, mats)) for c in draws]
+    counted = [distinct_eigenvalues(np.linalg.eigvals(B), tol)[0] for B in combos]
+    best = int(np.argmax([len(reps) for reps in counted]))
+    B0 = combos[best]
     cut = tol.eig_cluster_tol * max(1.0, float(np.linalg.norm(B0)))
 
     # Refine each witness eigenspace into joint blocks, then merge equal tuples.
     raw: list[tuple[tuple[complex, ...], int]] = []
-    for lam in counted[best][1]:
+    for lam in counted[best]:
         basis = nullspace(B0.astype(complex) - lam * np.eye(m), max(tol.rank_tol, cut))
         raw.extend(_joint_blocks(mats, basis, tol))
     merged: list[list] = []

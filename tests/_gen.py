@@ -140,3 +140,20 @@ def normal_shared_dominant(rng, dim=4, count=2):
         M = rho * np.outer(x, x) + Q[:, 1:] @ (U @ W @ U.T) @ Q[:, 1:].T
         out.append(M)
     return out, x
+
+
+def quadratic_boundary_points(K, count, seed):
+    """Seeded random points c = 1, z^T V z = 1 on the boundary of a quadratic cone (rows)."""
+    dirs = np.random.default_rng(seed).normal(size=(count, K.dim - 1))
+    zs = dirs / np.sqrt(np.einsum("ij,jk,ik->i", dirs, K.form, dirs))[:, None]
+    return K.axis[None, :] + zs @ K.complement_basis.T
+
+
+def quadratic_inside(K, pts, tol=1e-9):
+    """Vectorised membership of the rows of `pts` in a quadratic cone, on unit vectors."""
+    norms = np.linalg.norm(pts, axis=1)
+    U = pts / np.where(norms == 0, 1.0, norms)[:, None]
+    c = U @ K.axis
+    Z = U @ K.complement_basis
+    q = np.einsum("ij,jk,ik->i", Z, K.form, Z)
+    return (c >= -tol) & (q <= c * c + tol)

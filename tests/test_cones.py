@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gen import quadratic_boundary_points, quadratic_inside
 from conelab.cones import (
     PolyhedralCone,
     QuadraticCone,
@@ -136,19 +137,46 @@ class TestInvariance:
         assert not rep.invariant
 
     def test_nilpotent_needs_sampling(self):
-        # kernel meets the cone, so the certificate must not be trusted
+        # kernel meets the cone: the certificate holds, the dual-cone test fails
         A = np.array([[0.0, -1.0], [0.0, 0.0]])
         K = QuadraticCone(2, np.array([1.0, 0.0]), np.eye(1), np.eye(2)[:, 1:])
         rep = is_invariant(K, A)
-        assert not rep.invariant and rep.method == "sampled"
+        assert not rep.invariant and rep.method == "psd"
+        p = np.array(rep.worst[2])
+        assert contains(K, p).inside and not contains(K, A @ p).inside
+
+    def test_rank_one_dual_cone_map_is_invariant(self):
+        # u w^T with u in K and w in K* = {c x + B y : y^T V^-1 y <= c^2}
+        V = np.diag([2.0, 0.5, 1.0])
+        K = QuadraticCone(4, np.eye(4)[:, 0], V, np.eye(4)[:, 1:])
+        u = np.array([1.0, 0.3, -0.6, 0.4])
+        w = np.array([1.0, 0.5, 0.2, -0.6])
+        assert u[1:] @ V @ u[1:] < 1 and w[1:] @ np.linalg.solve(V, w[1:]) < 1
+        A = 1.7 * np.outer(u, w)
+        rep = is_invariant(K, A)
+        assert rep.invariant and rep.method == "psd" and rep.psd_margin > 0
+        Q = K.ambient_form()
+        assert rep.multiplier >= 0
+        assert np.min(np.linalg.eigvalsh(rep.multiplier * Q - A.T @ Q @ A)) >= -1e-12
+
+    def test_rank_one_just_outside_dual_cone(self):
+        # w lies 1.5% outside K*: only a thin cap of K maps outside K, which
+        # random sampling of K easily misses.
+        dim = 6
+        K = QuadraticCone(dim, np.eye(dim)[:, 0], np.eye(dim - 1), np.eye(dim)[:, 1:])
+        u = np.concatenate([[1.0], np.full(dim - 1, 0.1)])
+        y = np.random.default_rng(5).normal(size=dim - 1)
+        w = np.concatenate([[1.0], 1.015 * y / np.linalg.norm(y)])
+        A = np.outer(u, w)
+        rep = is_invariant(K, A)
+        assert not rep.invariant and rep.method == "psd"
+        p = np.array(rep.worst[2])
+        assert contains(K, p).inside and not contains(K, A @ p).inside
 
     def test_quadratic_agrees_with_sampling_when_conclusive(self):
-        from conelab.cones import _boundary_grid, _quad_inside_batch
-        from conelab.linalg import DEFAULT_TOL
-
         rng = np.random.default_rng(31)
-        checked = 0
-        while checked < 1000:
+        verdicts = set()
+        for case in range(1000):
             dim = int(rng.integers(2, 5))
             axis = rng.normal(size=dim)
             axis /= np.linalg.norm(axis)
@@ -161,11 +189,16 @@ class TestInvariance:
             contraction = rng.uniform(0.05, 1.5)
             A = rho * np.outer(axis, axis) + contraction * B @ rng.normal(size=(dim - 1, dim - 1)) @ B.T
             rep = is_invariant(K, A)
-            if rep.method != "psd":
-                continue
-            checked += 1
-            pts = _boundary_grid(K, 1000)
-            assert bool(np.all(_quad_inside_batch(K, pts @ A.T, DEFAULT_TOL))) == rep.invariant
+            assert rep.method == "psd"
+            verdicts.add(rep.invariant)
+            if rep.invariant:
+                pts = quadratic_boundary_points(K, 1000, seed=case)
+                assert np.all(quadratic_inside(K, pts @ A.T))
+            else:
+                p = np.array(rep.worst[2])
+                assert quadratic_inside(K, p[None, :])[0]
+                assert not quadratic_inside(K, (A @ p)[None, :])[0]
+        assert verdicts == {True, False}
 
 
 class TestHullAndPrune:

@@ -88,6 +88,15 @@ class TestDecisionFiles:
         assert "timestamp" not in a and "timestamp" in b
         assert dumps(a) == dumps({k: v for k, v in b.items() if k != "timestamp"})
 
+    def test_simdiag_booleans_stay_booleans(self):
+        from conelab.simdiag import decide_simdiag
+
+        d = decide_simdiag([np.diag([2.0, 1.0, 0.5]), np.diag([3.0, 1.0, 2.0])])
+        assert d.certificate["exact"] is True
+        text = dumps(decision_to_json(d, seed=0, tol=DEFAULT_TOL, reproducible=True))
+        assert '"exact": true' in text
+        assert decision_from_json(json.loads(text))["certificate"]["exact"] is True
+
     def test_witness_consistency_enforced(self):
         with pytest.raises(SchemaError):
             decision_from_json({"schema": "conelab/decision-v1", "answer": "no",

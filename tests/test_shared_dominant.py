@@ -127,6 +127,17 @@ class TestCommonLyapunov:
         assert cert.min_eigenvalue > 0
         assert all(r >= -1e-9 for r in cert.residuals)
 
+    def test_near_unit_radius_series(self):
+        rho, th = 1.0 - 1e-5, 0.7
+        R = rho * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        B = np.zeros((3, 3))
+        B[:2, :2] = R
+        B[2, 2] = -rho
+        cert = common_lyapunov([B, np.diag([0.5, 0.5, rho])])
+        assert cert.method == "series"
+        assert cert.min_eigenvalue > 0 and np.all(np.linalg.eigvalsh(cert.V) > 0)
+        assert all(r >= -1e-9 for r in cert.residuals)
+
     def test_rotation_is_neutral(self):
         th = 0.9
         R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
