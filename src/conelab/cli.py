@@ -29,7 +29,7 @@ from .schemas import (
     family_to_json,
     cone_from_json,
 )
-from .shared_dominant import common_dominant_eigenvector, decide_shared_dominant
+from .shared_dominant import decide_shared_dominant
 from .simdiag import decide_simdiag
 
 EXIT_YES = 0
@@ -110,20 +110,8 @@ def _route_auto(fd: FamilyData, tol, seed, bound, wordlen) -> Decision:
     try:
         return decide_simdiag(mats, tol, bound=bound, seed=seed, word_len=wordlen)
     except (NotCommuting, NotDiagonalizable):
-        pass  # not simultaneously diagonalizable: try the sufficient routes
-    screens = [is_vandergraft(M, tol) for M in mats]
-    if not all(r.is_vandergraft for r in screens):
-        bad = next(i for i, r in enumerate(screens) if not r.is_vandergraft)
-        return Decision(dd.NO, None, {
-            "failed_condition": dd.NOT_VANDERGRAFT_IN_A1,
-            "evidence": {"member": f"A{bad}", "reason": screens[bad].failed_condition},
-        }, route="none-applicable")
-    if common_dominant_eigenvector(mats, tol) is not None:
-        return decide_shared_dominant(mats, tol, similarity=fd.similarity)
-    return Decision(dd.UNDECIDED, None, {
-        "failed_condition": dd.HYPOTHESES_NOT_MET,
-        "evidence": {"reason": "no applicable decision procedure for this family"},
-    }, route="none-applicable")
+        pass  # not simultaneously diagonalizable: try the shared-dominant route
+    return decide_shared_dominant(mats, tol, similarity=fd.similarity)
 
 
 def cmd_common(args) -> int:

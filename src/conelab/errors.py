@@ -45,8 +45,8 @@ class NotDiagonalizable(ConelabError):
     pass
 
 
-class RefinementFailed(ConelabError):
-    pass
+class RefinementFailed(NotDiagonalizable):
+    """No joint diagonal form: typically a defective member split by rounding."""
 
 
 class NonVandergraftProduct(ConelabError):

@@ -110,7 +110,6 @@ class EigenValue:
     multiplicity: int
     degree: int
     eigenvectors: np.ndarray | None  # (n, g) real basis, real eigenvalues only
-    borderline_degree: bool = False
 
     @property
     def is_real(self) -> bool:
@@ -122,9 +121,6 @@ class Spectrum:
     dim: int
     eigenvalues: tuple[EigenValue, ...]
     spectral_radius: float
-
-    def real_eigenvalues(self):
-        return [ev for ev in self.eigenvalues if ev.is_real]
 
     def dominant(self, tol: ToleranceConfig = DEFAULT_TOL) -> EigenValue | None:
         """The real eigenvalue equal to the spectral radius, if present."""
@@ -166,30 +162,26 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceConfig):
-    """Smallest k with rank((A - lam I)^k) = rank((A - lam I)^(k+1))."""
+def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceConfig) -> int:
+    """Smallest k with rank((A - lam I)^k) = rank((A - lam I)^(k+1)).
+
+    The degree never exceeds the multiplicity, so at most multiplicity - 1
+    rank comparisons are made and a simple eigenvalue needs none.
+    """
+    if multiplicity == 1:
+        return 1
     n = A.shape[0]
     scale = max(1.0, float(np.linalg.norm(A)))
     M = (A.astype(complex) - lam * np.eye(n)) / scale
-    borderline = False
-
-    def rank_flag(P):
-        nonlocal borderline
-        s = np.linalg.svd(P, compute_uv=False)
-        cutoff = tol.rank_tol * max(1.0, float(s[0]) if s.size else 1.0)
-        if s.size and np.any((s > cutoff / 10) & (s <= cutoff * 10)):
-            borderline = True
-        return int(np.sum(s > cutoff))
-
-    power = M.copy()
-    r_prev = rank_flag(power)
-    for k in range(1, multiplicity + 1):
+    power = M
+    r_prev = matrix_rank(power, tol.rank_tol)
+    for k in range(1, multiplicity):
         power = power @ M
-        r_next = rank_flag(power)
+        r_next = matrix_rank(power, tol.rank_tol)
         if r_next == r_prev:
-            return k, borderline
+            return k
         r_prev = r_next
-    return multiplicity, borderline
+    return multiplicity
 
 
 def _eig_values_2x2(A: np.ndarray) -> np.ndarray:
@@ -289,7 +281,7 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
 
     eigenvalues = []
     for v, m in zip(reps, mults):
-        deg, borderline = _degree_of(M, v, m, tol)
+        deg = _degree_of(M, v, m, tol)
         vecs = None
         if v.imag == 0.0:
             basis = nullspace(M - v.real * np.eye(n), max(tol.rank_tol, cut))
@@ -297,7 +289,7 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
             if basis.shape[1]:
                 basis = np.column_stack([fix_sign(basis[:, k]) for k in range(basis.shape[1])])
             vecs = basis
-        eigenvalues.append(EigenValue(v, m, deg, vecs, borderline))
+        eigenvalues.append(EigenValue(v, m, deg, vecs))
 
     eigenvalues.sort(key=lambda ev: (-abs(ev.value), -ev.value.real, ev.value.imag))
     return Spectrum(n, tuple(eigenvalues), rho)

@@ -9,7 +9,8 @@ ellipsoidal cone.  The Lyapunov matrix comes from nested Stein equations,
 after a root-subspace split when some block has unit-modulus eigenvalues,
 and every witness is re-checked with the exact quadratic invariance test.
 A failed hypothesis is reported as "undecided", never as a proof of
-non-existence.
+non-existence; the only NO is a member failing the spectral (Vandergraft)
+test, which no family with a common cone can contain.
 """
 
 from __future__ import annotations
@@ -68,13 +69,15 @@ class DeflatedFamily:
     blocks: tuple[np.ndarray, ...]  # (m-1) x (m-1) lower-right blocks, per member
 
 
-def common_dominant_eigenvector(family, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray | None:
-    """Unit vector spanning a line in every member's dominant eigenspace, or None."""
-    if len(family) == 0:
+def common_dominant_eigenvector(reports, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray | None:
+    """Unit vector spanning a line in every member's dominant eigenspace, or None.
+
+    Takes each member's `is_vandergraft` report.
+    """
+    if len(reports) == 0:
         raise EmptyFamily("no matrices")
     basis = None
-    for j, M in enumerate(family):
-        rep = is_vandergraft(M, tol)
+    for j, rep in enumerate(reports):
         if not rep.is_vandergraft:
             raise PreconditionFailed(f"member {j} is not a Vandergraft matrix")
         vecs = rep.dominant_eigenvectors
@@ -122,14 +125,14 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
         if defect > tol.eig_cluster_tol * max(1.0, float(np.linalg.norm(W)) ** 2):
             raise NotNormal(f"member {j} is not normal (defect {defect:.3e})")
     if x is None:
-        x = common_dominant_eigenvector(mats, tol)
+        x = common_dominant_eigenvector([is_vandergraft(M, tol) for M in mats], tol)
         if x is None:
             raise NoSharedDominantVector("no common dominant eigenvector")
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
     rhos = []
     for j, M in enumerate(mats):
-        rho = eigen_decompose(M, tol).spectral_radius
+        rho = float(np.max(np.abs(np.linalg.eigvals(M))))
         if np.linalg.norm(M @ x - rho * x) > 1e-7 * max(1.0, float(np.linalg.norm(M))):
             raise NoSharedDominantVector(f"supplied vector is not dominant for member {j}")
         rhos.append(rho)
@@ -341,18 +344,25 @@ def common_lyapunov(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> LyapunovCerti
 def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarity=None) -> Decision:
     """Sufficient decision for families sharing a dominant eigenvector.
 
-    Tries the normal-family ice-cream construction first, then the commuting
-    route (scale to spectral radius one, deflate the shared eigenvector,
-    solve the common Lyapunov inequality, return the ellipsoidal cone).
-    Raises HypothesesNotMet when neither route applies.
+    Each member's spectral report is computed once.  A member that fails the
+    spectral test has no invariant proper cone, so neither has the family:
+    that is a definitive NO.  Otherwise tries the normal-family ice-cream
+    construction first, then the commuting route (scale to spectral radius
+    one, deflate the shared eigenvector, solve the common Lyapunov
+    inequality, return the ellipsoidal cone).  Raises HypothesesNotMet when
+    neither route applies.
     """
     if len(family) == 0:
         raise EmptyFamily("no matrices")
     mats = [as_square_matrix(M) for M in family]
-    for j, M in enumerate(mats):
-        if not is_vandergraft(M, tol).is_vandergraft:
-            raise HypothesesNotMet("NotVandergraft", f"member {j} fails the spectral test")
-    x = common_dominant_eigenvector(mats, tol)
+    reports = [is_vandergraft(M, tol) for M in mats]
+    bad = next((j for j, rep in enumerate(reports) if not rep.is_vandergraft), None)
+    if bad is not None:
+        return Decision(dd.NO, None, {
+            "failed_condition": dd.NOT_VANDERGRAFT_IN_A1,
+            "evidence": {"member": f"A{bad}", "reason": reports[bad].failed_condition},
+        }, route="shared-dominant")
+    x = common_dominant_eigenvector(reports, tol)
     if x is None:
         raise HypothesesNotMet("NoSharedDominantVector")
 
@@ -367,8 +377,8 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
         raise HypothesesNotMet("NotCommuting", f"{exc}; also not normal ({normal_note})") from exc
 
     live, dropped, rhos = [], [], []
-    for j, M in enumerate(mats):
-        spec = eigen_decompose(M, tol)
+    for j, (M, rep) in enumerate(zip(mats, reports)):
+        spec = rep.spectrum
         rho = spec.spectral_radius
         scale = max(1.0, float(np.linalg.norm(M)))
         if rho <= tol.eig_cluster_tol * scale:

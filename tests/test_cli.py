@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+import conelab.linalg
 from conelab.cli import main
+from conelab.cones import is_invariant
 from conelab.fixtures import ex7_2
-from conelab.schemas import dumps, family_to_json
+from conelab.schemas import cone_from_json, dumps, family_to_json
 from conelab.planar import classify2
 
 
@@ -182,7 +184,8 @@ class TestRouting:
         assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 3
         assert json.loads(dec.read_text())["route"] == "none-applicable"
 
-    def test_non_vandergraft_member_is_definitive_no(self, tmp_path):
+    @pytest.mark.parametrize("method", ["auto", "shared-dominant"])
+    def test_non_vandergraft_member_is_definitive_no(self, tmp_path, method):
         # dominant complex pair: the member alone has no invariant proper cone
         R = np.diag([0.5, 0.0, 0.0])
         R[1:, 1:] = 2.0 * np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
@@ -190,9 +193,58 @@ class TestRouting:
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"dimension": 3, "matrices": [A.tolist(), R.tolist()]}))
         dec = tmp_path / "d.json"
-        assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 1
+        assert main(["common", str(fam), "--method", method, "--reproducible",
+                     "--out", str(dec)]) == 1
         payload = json.loads(dec.read_text())
+        assert payload["route"] == "shared-dominant"
         assert payload["certificate"]["failed_condition"] == "NotVandergraftInA1"
+        assert payload["certificate"]["evidence"]["member"] == "A1"
+
+    def test_each_member_is_decomposed_once(self, tmp_path, monkeypatch):
+        # non-commuting normal family sharing the dominant vector e1
+        def rot(i, j, th):
+            M = np.diag([3.0, 1.0, 1.0, 1.0])
+            M[i, i] = M[j, j] = np.cos(th)
+            M[i, j], M[j, i] = -np.sin(th), np.sin(th)
+            return M
+        mats = [rot(1, 2, 0.3), rot(2, 3, 0.7), rot(1, 3, 1.1)]
+        original = conelab.linalg.eigen_decompose
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("conelab") and getattr(mod, "eigen_decompose", None) is original:
+                monkeypatch.setattr(mod, "eigen_decompose", counted)
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 4, "matrices": [M.tolist() for M in mats]}))
+        dec = tmp_path / "d.json"
+        assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 0
+        assert json.loads(dec.read_text())["route"] == "shared-dominant"
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("mu, nu", [(0.5, 0.4), (-0.8, 1.0), (0.95, 1.0)])
+    def test_commuting_jordan_family_takes_shared_dominant(self, tmp_path, mu, nu):
+        # the Jordan block splits under rounding, so simdiag cannot refine it
+        T = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+
+        def member(c, a, b):
+            return c * T @ np.array([[1.0, 0.0, 0.0], [0.0, a, b], [0.0, 0.0, a]]) @ np.linalg.inv(T)
+
+        mats = [member(1.0, mu, nu), member(1.5, 0.7 * mu, 0.4 * nu)]
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 3, "matrices": [M.tolist() for M in mats]}))
+        dec = tmp_path / "d.json"
+        assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 0
+        payload = json.loads(dec.read_text())
+        assert payload["route"] == "shared-dominant"
+        K = cone_from_json(payload["witness"])
+        for M in mats:
+            assert is_invariant(K, M).invariant
+        assert main(["common", str(fam), "--method", "simdiag", "--reproducible",
+                     "--out", str(dec)]) == 3
 
 
 def test_console_entry_point():

@@ -11,6 +11,7 @@ from conelab.errors import (
     PreconditionFailed,
 )
 from conelab.fixtures import ex7_2, ex7_4
+from conelab.linalg import is_vandergraft
 from conelab.shared_dominant import (
     common_dominant_eigenvector,
     common_lyapunov,
@@ -30,22 +31,25 @@ def rotation_family(thetas, rho=2.0):
     return out
 
 
+def shared_line(mats):
+    return common_dominant_eigenvector([is_vandergraft(M) for M in mats])
+
+
 class TestCommonDominantEigenvector:
     def test_diag_pair(self):
-        x = common_dominant_eigenvector([np.diag([2.0, 1.0]), np.diag([3.0, 1.0])])
+        x = shared_line([np.diag([2.0, 1.0]), np.diag([3.0, 1.0])])
         assert np.allclose(np.abs(x), [1, 0])
 
     def test_example_7_2_absent(self):
-        assert common_dominant_eigenvector(list(ex7_2().matrices)) is None
+        assert shared_line(list(ex7_2().matrices)) is None
 
     def test_triangular_pair(self):
-        x = common_dominant_eigenvector([np.array([[2.0, 0], [0, 1.0]]),
-                                         np.array([[2.0, 1.0], [0, 1.0]])])
+        x = shared_line([np.array([[2.0, 0], [0, 1.0]]), np.array([[2.0, 1.0], [0, 1.0]])])
         assert np.allclose(np.abs(x), [1, 0])
 
     def test_non_vandergraft_rejected(self):
         with pytest.raises(PreconditionFailed):
-            common_dominant_eigenvector([np.array([[0.0, -1.0], [1.0, 0.0]])])
+            shared_line([np.array([[0.0, -1.0], [1.0, 0.0]])])
 
 
 class TestIceCream:
