@@ -58,9 +58,9 @@ def _tol_from_args(args) -> ToleranceConfig:
 
 
 def _add_tol_args(p):
-    p.add_argument("--eig-tol", type=float, default=1e-8, help="eigenvalue clustering tolerance")
-    p.add_argument("--rank-tol", type=float, default=1e-10, help="singular-value rank cutoff")
-    p.add_argument("--geom-tol", type=float, default=1e-9, help="membership/angle tolerance")
+    p.add_argument("--eig-tol", type=float, default=1e-8, help="relative eigenvalue clustering tolerance")
+    p.add_argument("--rank-tol", type=float, default=1e-10, help="relative singular-value rank cutoff")
+    p.add_argument("--geom-tol", type=float, default=1e-9, help="relative membership/angle tolerance")
 
 
 def _load_json(path):

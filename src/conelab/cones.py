@@ -19,7 +19,7 @@ from scipy.linalg import eigvals
 from scipy.optimize import brentq, nnls
 
 from .errors import DimensionMismatch, EmptyInput
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, matrix_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, _norm, as_square_matrix, matrix_rank
 
 # Offset factors (relative to geom_tol) for the interior probe and the
 # strictness margin of quadratic interior tests.
@@ -41,8 +41,10 @@ class PolyhedralCone:
         if G.ndim != 2 or G.shape[1] != self.dim or G.shape[0] < 1:
             raise DimensionMismatch(f"bad generator array of shape {G.shape}")
         norms = np.linalg.norm(G, axis=1)
-        if np.any(norms < 1e-14):
-            raise EmptyInput("zero generator")
+        if norms.min() <= 1e-150:
+            norms = np.array([_norm(g) for g in G])
+            if norms.min() < _ZERO_NORM:
+                raise EmptyInput("zero generator")
         G = G / norms[:, None]
         G.setflags(write=False)
         object.__setattr__(self, "generators", G)
@@ -124,26 +126,16 @@ class InvarianceReport:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n < 1e-300:
+    n = _norm(v)
+    if n < _ZERO_NORM:
         raise EmptyInput("cannot normalize the zero vector")
     return v / n
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm, rescaling tiny vectors first: squares of entries below
-    ~1e-154 lose precision or underflow to zero."""
-    n = float(np.linalg.norm(v))
-    if n > 1e-150:
-        return n
-    m = float(np.max(np.abs(v)))
-    return m * float(np.linalg.norm(v / m)) if m > 0 else 0.0
 
 
 def conic_hull(vectors, dim: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> PolyhedralCone:
     """Normalize, deduplicate (angle < geom_tol) and sort the generators."""
     rows = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
-    rows = [r for r in rows if np.linalg.norm(r) > 1e-14]
+    rows = [r / n for r in rows if (n := _norm(r)) >= _ZERO_NORM]
     if not rows:
         raise EmptyInput("no nonzero vectors")
     if dim is None:
@@ -151,8 +143,7 @@ def conic_hull(vectors, dim: int | None = None, tol: ToleranceConfig = DEFAULT_T
     if any(r.size != dim for r in rows):
         raise DimensionMismatch("mixed vector dimensions")
     kept: list[np.ndarray] = []
-    for r in rows:
-        u = r / np.linalg.norm(r)
+    for u in rows:
         if all(np.linalg.norm(u - k) > tol.geom_tol for k in kept):
             kept.append(u)
     G = np.array(sorted(kept, key=lambda v: tuple(v)))

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooLarge, NonConvergence, NotCommuting
+from .errors import DimensionMismatch, DimensionTooLarge, EmptyFamily, NonConvergence, NotCommuting
 
 MAX_DIM = 32
 
@@ -23,8 +23,12 @@ MAX_DIM = 32
 class ToleranceConfig:
     """Numerical tolerances used by every decision in the package.
 
+    Every tolerance is relative: a threshold is the tolerance times the size
+    of what it compares (||M|| for a matrix, rho for eigenvalue moduli, s_0
+    for singular values, ||v|| for a vector).
+
     eig_cluster_tol: relative tolerance for merging computed eigenvalues.
-    rank_tol: singular-value cutoff for rank decisions.
+    rank_tol: relative singular-value cutoff for rank decisions.
     geom_tol: tolerance for membership, angle and sign comparisons.
     """
 
@@ -51,6 +55,30 @@ def as_square_matrix(A) -> np.ndarray:
     return M
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm, rescaling tiny or huge arrays first:
+    squares of entries below ~1e-154 underflow, above ~1e154 overflow."""
+    n = float(np.linalg.norm(v))
+    if 1e-150 < n < 1e150:
+        return n
+    m = float(np.max(np.abs(v)))
+    return m * float(np.linalg.norm(v / m)) if m > 0 else 0.0
+
+
+def unit_members(family) -> list[np.ndarray]:
+    """Validate a family and divide each nonzero member by its Frobenius norm.
+
+    A cone is invariant under M exactly when it is invariant under cM, c > 0,
+    so the decision procedures work on these unit-norm members.
+    """
+    mats = [as_square_matrix(M) for M in family]
+    if not mats:
+        raise EmptyFamily("the family has no members")
+    if any(M.shape != mats[0].shape for M in mats):
+        raise DimensionMismatch("family members must share one dimension")
+    return [M / n if (n := _norm(M)) > 0 else M for M in mats]
+
+
 def fix_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Flip v so its first coordinate of magnitude > tol is positive."""
     for x in v:
@@ -60,46 +88,47 @@ def fix_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def matrix_rank(M: np.ndarray, rank_tol: float) -> int:
+    """Number of singular values above rank_tol times the largest one."""
     if min(M.shape) == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    cutoff = rank_tol * max(1.0, float(s[0]))
-    return int(np.sum(s > cutoff))
+    return int(np.sum(s > rank_tol * s[0]))
 
 
-def nullspace(M: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Columns form an orthonormal basis of ker(M); empty (n, 0) if trivial."""
+def nullspace(M: np.ndarray, cutoff: float) -> np.ndarray:
+    """Orthonormal right singular vectors of M for singular values <= cutoff.
+
+    For an eigenspace ker(A - lam I) the caller scales the cutoff by ||A||:
+    A - lam I is rounding noise when A is nearly scalar.
+    """
     n = M.shape[1]
     _, s, vh = np.linalg.svd(M)
-    cutoff = rank_tol * max(1.0, float(s[0]) if s.size else 1.0)
     num = int(np.sum(s > cutoff))
     return vh[num:].conj().T.reshape(n, -1)
 
 
 def check_commuting(mats, tol: ToleranceConfig) -> None:
     """Raise NotCommuting unless every pair satisfies
-    ||A_i A_j - A_j A_i|| <= eig_cluster_tol * max(1, ||A_i|| ||A_j||)."""
+    ||A_i A_j - A_j A_i|| <= eig_cluster_tol * ||A_i|| ||A_j||."""
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             defect = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            bound = tol.eig_cluster_tol * max(1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j]))
+            bound = tol.eig_cluster_tol * np.linalg.norm(mats[i]) * np.linalg.norm(mats[j])
             if defect > bound:
                 raise NotCommuting(f"members {i} and {j} do not commute (defect {defect:.3e})")
 
 
-def distinct_eigenvalues(values, tol: ToleranceConfig) -> tuple[list[complex], float]:
+def distinct_eigenvalues(values, cut: float) -> list[complex]:
     """Greedy representatives of computed eigenvalues, in (real, imag) order.
 
-    A value joins the first representative within cut =
-    eig_cluster_tol * max(1, max |value|); returns the representatives and
-    the cut.
+    A value joins the first representative within `cut`, which the caller
+    scales by the norm of the matrix the values belong to.
     """
-    cut = tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(values))))
     reps: list[complex] = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
         if not any(abs(v - r) <= cut for r in reps):
             reps.append(complex(v))
-    return reps, cut
+    return reps
 
 
 @dataclass(frozen=True)
@@ -125,7 +154,7 @@ class Spectrum:
     def dominant(self, tol: ToleranceConfig = DEFAULT_TOL) -> EigenValue | None:
         """The real eigenvalue equal to the spectral radius, if present."""
         rho = self.spectral_radius
-        cut = tol.eig_cluster_tol * max(1.0, rho)
+        cut = tol.eig_cluster_tol * rho
         for ev in self.eigenvalues:
             if ev.is_real and abs(ev.value.real - rho) <= cut:
                 return ev
@@ -133,7 +162,7 @@ class Spectrum:
 
     def peripheral(self, tol: ToleranceConfig = DEFAULT_TOL):
         rho = self.spectral_radius
-        cut = tol.eig_cluster_tol * max(1.0, rho)
+        cut = tol.eig_cluster_tol * rho
         return [ev for ev in self.eigenvalues if abs(abs(ev.value) - rho) <= cut]
 
 
@@ -146,22 +175,6 @@ class VandergraftReport:
     spectrum: Spectrum = field(repr=False, default=None)
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Single-linkage clusters of complex values at distance tol."""
-    order = np.lexsort((values.imag, values.real))
-    clusters: list[list[int]] = []
-    for idx in order:
-        placed = False
-        for cl in clusters:
-            if any(abs(values[idx] - values[j]) <= tol for j in cl):
-                cl.append(int(idx))
-                placed = True
-                break
-        if not placed:
-            clusters.append([int(idx)])
-    return clusters
-
-
 def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceConfig) -> int:
     """Smallest k with rank((A - lam I)^k) = rank((A - lam I)^(k+1)).
 
@@ -170,9 +183,9 @@ def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceCon
     """
     if multiplicity == 1:
         return 1
-    n = A.shape[0]
-    scale = max(1.0, float(np.linalg.norm(A)))
-    M = (A.astype(complex) - lam * np.eye(n)) / scale
+    M = A.astype(complex) - lam * np.eye(A.shape[0])
+    if np.linalg.norm(M) <= tol.eig_cluster_tol * np.linalg.norm(A):
+        return 1  # A is lam I up to rounding, which a relative rank would not see
     power = M
     r_prev = matrix_rank(power, tol.rank_tol)
     for k in range(1, multiplicity):
@@ -197,7 +210,7 @@ def _eigvec_2x2(A: np.ndarray, lam: float) -> np.ndarray:
     r2 = np.array([lam - A[1, 1], A[1, 0]])
     v = r1 if r1 @ r1 >= r2 @ r2 else r2
     n = np.sqrt(v @ v)
-    if n < 1e-14:
+    if n == 0.0:  # A = lam I: every vector is an eigenvector
         return np.array([1.0, 0.0])
     return fix_sign(v / n)
 
@@ -205,12 +218,12 @@ def _eigvec_2x2(A: np.ndarray, lam: float) -> np.ndarray:
 def _spectrum_2x2(M: np.ndarray, tol: ToleranceConfig) -> Spectrum:
     values = _eig_values_2x2(M)
     rho = float(np.max(np.abs(values)))
-    cut = tol.eig_cluster_tol * max(1.0, rho)
+    cut = tol.eig_cluster_tol * rho
     if abs(values[0] - values[1]) <= cut:
         v = complex(np.mean(values))
         if abs(v.imag) <= cut:
             v = complex(v.real, 0.0)
-        scalar = np.linalg.norm(M - v.real * np.eye(2)) <= cut
+        scalar = np.linalg.norm(M - v.real * np.eye(2)) <= tol.eig_cluster_tol * np.linalg.norm(M)
         if v.imag == 0.0:
             vecs = np.eye(2) if scalar else _eigvec_2x2(M, v.real).reshape(2, 1)
         else:
@@ -232,9 +245,11 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     """Clustered eigenvalues, degrees and real eigenspaces of a real matrix.
 
     Uses the closed-form quadratic for n = 2 and LAPACK's Hessenberg +
-    shifted-QR driver otherwise.  Computed eigenvalues within
-    eig_cluster_tol * max(1, rho) are merged into one distinct eigenvalue,
-    and the result is exactly closed under conjugation.
+    shifted-QR driver otherwise.  Eigenvalues are grouped by their nearest
+    `distinct_eigenvalues` representative at cut eig_cluster_tol * ||A||, the
+    scale of their rounding errors (not rho: a 2x2 Jordan block splits by
+    about sqrt(eps) ||A||), and closed exactly under conjugation.
+    Eigenspaces keep the singular values of A - lam I up to the same cut.
     """
     M = as_square_matrix(A)
     n = M.shape[0]
@@ -253,18 +268,20 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
         raise NonConvergence(str(exc)) from exc
 
     rho = float(np.max(np.abs(values)))
-    cut = tol.eig_cluster_tol * max(1.0, rho)
-    clusters = _cluster(values, cut)
+    cut = tol.eig_cluster_tol * np.linalg.norm(M)
+    centers = distinct_eigenvalues(values, cut)
+    nearest = np.argmin(np.abs(values[:, None] - np.array(centers)[None, :]), axis=1)
 
-    # Cluster representatives; zero-out imaginary parts below the cluster cut.
+    # Group means as representatives; zero-out imaginary parts below the cut.
     reps: list[complex] = []
     mults: list[int] = []
-    for cl in clusters:
-        v = complex(np.mean(values[cl]))
+    for k in range(len(centers)):
+        group = values[nearest == k]
+        v = complex(np.mean(group))
         if abs(v.imag) <= cut:
             v = complex(v.real, 0.0)
         reps.append(v)
-        mults.append(len(cl))
+        mults.append(len(group))
 
     # Enforce exact conjugate pairing on the representatives.
     for i, v in enumerate(reps):
@@ -284,7 +301,7 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
         deg = _degree_of(M, v, m, tol)
         vecs = None
         if v.imag == 0.0:
-            basis = nullspace(M - v.real * np.eye(n), max(tol.rank_tol, cut))
+            basis = nullspace(M - v.real * np.eye(n), cut)
             basis = np.real(basis)
             if basis.shape[1]:
                 basis = np.column_stack([fix_sign(basis[:, k]) for k in range(basis.shape[1])])
@@ -308,7 +325,7 @@ def is_vandergraft(A, tol: ToleranceConfig = DEFAULT_TOL) -> VandergraftReport:
     if n == 2:
         t = float(M[0, 0] + M[1, 1])
         d = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-        s = max(1.0, float(np.linalg.norm(M)))
+        s = float(np.linalg.norm(M))
         ok = (t >= -tol.eig_cluster_tol * s) and (t * t - 4.0 * d >= -tol.eig_cluster_tol * s * s)
         if not ok:
             return VandergraftReport(False, None, None, "rho-not-eigenvalue", spec)

@@ -18,16 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decision as dd
-from .cones import PolyhedralCone, conic_hull, is_invariant, is_proper, prune_generators, unit
+from .cones import PolyhedralCone, _norm, conic_hull, is_invariant, is_proper, prune_generators, unit
 from .decision import Decision
 from .errors import (
     CollinearInput,
-    EmptyFamily,
     ImproperCone,
     InternalInconsistency,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, _eigvec_2x2, as_square_matrix
+from .linalg import DEFAULT_TOL, ToleranceConfig, _eigvec_2x2, as_square_matrix, unit_members
 
 KIND_DIAG = "DiagNonneg"
 KIND_NONDIAG = "NonDiag"
@@ -80,7 +79,7 @@ def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
         raise PreconditionFailed("classify2 expects a 2x2 matrix")
     t = float(M[0, 0] + M[1, 1])
     d = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    s = max(1.0, float(np.linalg.norm(M)))
+    s = float(np.linalg.norm(M))
     eps = tol.eig_cluster_tol
     disc = t * t - 4.0 * d
 
@@ -122,11 +121,10 @@ def associated_sign(A, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         raise PreconditionFailed("associated_sign needs a non-diagonalizable Vandergraft matrix")
     uu = np.asarray(u, dtype=float)
     vv = np.asarray(v, dtype=float)
-    s = max(1.0, float(np.linalg.norm(M)))
     if abs(_cross(uu, vv)) <= tol.geom_tol * np.linalg.norm(uu) * np.linalg.norm(vv):
         raise CollinearInput("v lies on the eigenline of A")
     lam = frame.lam1
-    if np.linalg.norm(M @ uu - lam * uu) > 1e-6 * s * np.linalg.norm(uu):
+    if np.linalg.norm(M @ uu - lam * uu) > 1e-6 * np.linalg.norm(M) * np.linalg.norm(uu):
         raise PreconditionFailed("u is not an eigenvector of A")
     x = float((M @ vv - lam * vv) @ uu) / float(uu @ uu)
     return 1 if x > 0 else -1
@@ -203,12 +201,12 @@ def make_invariant_cone(A, v, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Polyh
     """
     M = as_square_matrix(A)
     frame = classify2(M, tol)
-    s = max(1.0, float(np.linalg.norm(M)))
+    s = float(np.linalg.norm(M))
     if frame.det > tol.eig_cluster_tol * s * s or frame.trace < -tol.eig_cluster_tol * s:
         raise PreconditionFailed("need det A <= 0 and trace A >= 0")
     w = np.asarray(v, dtype=float)
     img = M @ w
-    if np.linalg.norm(img) <= 1e-14 * np.linalg.norm(w):
+    if _norm(img) <= 1e-14 * s * _norm(w):
         K = conic_hull([w], dim=2, tol=tol)
     else:
         K = conic_hull([w, img], dim=2, tol=tol)
@@ -227,16 +225,13 @@ def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMa
     """Input family plus all non-scalar ordered products of its negative-determinant members."""
     mats = [as_square_matrix(M) for M in family]
     tagged = [TaggedMatrix(M, f"A{i}", None, i) for i, M in enumerate(mats)]
-    neg = []
-    for i, M in enumerate(mats):
-        s = max(1.0, float(np.linalg.norm(M)))
-        if float(np.linalg.det(M)) < -tol.eig_cluster_tol * s * s:
-            neg.append(i)
+    neg = [i for i, M in enumerate(mats)
+           if float(np.linalg.det(M)) < -tol.eig_cluster_tol * float(np.linalg.norm(M)) ** 2]
     for i in neg:
         for j in neg:
             P = mats[i] @ mats[j]
             c = float(P[0, 0] + P[1, 1]) / 2.0
-            if np.linalg.norm(P - c * np.eye(2)) <= tol.geom_tol * max(1.0, float(np.linalg.norm(P))):
+            if np.linalg.norm(P - c * np.eye(2)) <= tol.geom_tol * np.linalg.norm(P):
                 continue
             tagged.append(TaggedMatrix(P, f"A{i}*A{j}", (i, j), None))
     return tagged
@@ -455,7 +450,7 @@ def _shrink_cone(family, base_u, side_vec, extra_gens_of, avoid_angles, tol):
 
 def decide_shared_dominant_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
     """Exact decision for 2x2 Vandergraft families sharing a dominant eigenline."""
-    mats = [as_square_matrix(M) for M in family]
+    mats = unit_members(family)
     frames = [classify2(M, tol) for M in mats]
     if any(fr.kind == KIND_NOT for fr in frames):
         raise PreconditionFailed("family members must all be Vandergraft matrices")
@@ -467,10 +462,9 @@ def decide_shared_dominant_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> De
         raise PreconditionFailed("no common dominant eigenvector")
 
     u = live[0][1].u1
-    s2 = [max(1.0, float(np.linalg.norm(M))) for M in mats]
     nd = [i for i, fr in live if fr.kind == KIND_NONDIAG]
     neg = [i for i, fr in live if fr.kind == KIND_NEGDET]
-    tz = [i for i in neg if abs(frames[i].trace) <= tol.eig_cluster_tol * s2[i]]
+    tz = [i for i in neg if abs(frames[i].trace) <= tol.eig_cluster_tol]
 
     if not nd:
         bad_pair = next(
@@ -592,12 +586,11 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
 
     Emits one witness cone on YES (re-verified member by member with the
     membership oracle) and a named failed condition with concrete members on
-    NO.
+    NO.  Members are scaled to unit norm first, so the answer does not
+    depend on their scale.
     """
-    if len(family) == 0:
-        raise EmptyFamily("cannot decide an empty family")
-    mats = [as_square_matrix(M) for M in family]
-    if any(M.shape[0] != 2 for M in mats):
+    mats = unit_members(family)
+    if mats[0].shape[0] != 2:
         raise PreconditionFailed("decide_common_2x2 expects 2x2 matrices")
     frames = [classify2(M, tol) for M in mats]
 
@@ -611,9 +604,9 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
                     "all members are nonnegative scalar matrices")
     angles = [line_angle(fr.u1) for _, fr in live]
     if all(_angles_equal(angles[0], a, tol.geom_tol) for a in angles):
-        return decide_shared_dominant_2x2(family, tol)
+        return decide_shared_dominant_2x2(mats, tol)
 
-    report = necessary_conditions(family, tol)
+    report = necessary_conditions(mats, tol)
     if not report.all_ok:
         cert = {"failed_condition": report.failed, "evidence": report.evidence}
         if report.close_calls:
@@ -688,7 +681,7 @@ def search_common_cone(family, num_candidates: int = 10_000, seed: int = 0,
     generators back into it (closed-form 2D membership, independent of the
     decision procedure).  Returns a surviving cone or None.
     """
-    mats = [as_square_matrix(M) for M in family]
+    mats = unit_members(family)
     frames = [classify2(M, tol) for M in mats]
     eig_dirs = []
     for fr in frames:

@@ -44,6 +44,7 @@ from .linalg import (
     fix_sign,
     is_vandergraft,
     nullspace,
+    unit_members,
 )
 
 # Eigenvalues of modulus above 1 - _UNIT_BAND are treated as unit-modulus
@@ -87,7 +88,7 @@ def common_dominant_eigenvector(reports, tol: ToleranceConfig = DEFAULT_TOL) -> 
             basis = vecs
             continue
         stacked = np.column_stack([basis, -vecs])
-        ns = nullspace(stacked, tol.rank_tol)
+        ns = nullspace(stacked, tol.eig_cluster_tol)  # orthonormal columns: norm 1 each
         if ns.shape[1] == 0:
             return None
         basis, _ = np.linalg.qr(basis @ ns[: basis.shape[1]])
@@ -122,7 +123,7 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
     work = mats if T is None else [np.linalg.solve(T, M @ T) for M in mats]
     for j, W in enumerate(work):
         defect = np.linalg.norm(W @ W.T - W.T @ W)
-        if defect > tol.eig_cluster_tol * max(1.0, float(np.linalg.norm(W)) ** 2):
+        if defect > tol.eig_cluster_tol * float(np.linalg.norm(W)) ** 2:
             raise NotNormal(f"member {j} is not normal (defect {defect:.3e})")
     if x is None:
         x = common_dominant_eigenvector([is_vandergraft(M, tol) for M in mats], tol)
@@ -133,7 +134,7 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
     rhos = []
     for j, M in enumerate(mats):
         rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-        if np.linalg.norm(M @ x - rho * x) > 1e-7 * max(1.0, float(np.linalg.norm(M))):
+        if np.linalg.norm(M @ x - rho * x) > 1e-7 * np.linalg.norm(M):
             raise NoSharedDominantVector(f"supplied vector is not dominant for member {j}")
         rhos.append(rho)
 
@@ -165,12 +166,14 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
 
 
 def _semisimple_eigen_basis(A: np.ndarray, lam: float, tol: ToleranceConfig, x: np.ndarray):
-    """Real basis [x-hat | rest-of-eigenspace | range complement] splitting A at lam."""
+    """Real basis [x-hat | rest-of-eigenspace | range of A - lam I] splitting A at lam,
+    from one SVD of A - lam I cut at eig_cluster_tol * ||A|| (p = m - rank).
+    """
     m = A.shape[0]
-    M = A - lam * np.eye(m)
-    E = nullspace(M, max(tol.rank_tol, tol.eig_cluster_tol * max(1.0, float(np.linalg.norm(A)))))
-    E = np.real(E)
-    p = E.shape[1]
+    U, s, vh = np.linalg.svd(A - lam * np.eye(m))
+    r = int(np.sum(s > tol.eig_cluster_tol * np.linalg.norm(A)))
+    E = vh[r:].T
+    p = m - r
     xhat = x / np.linalg.norm(x)
     if np.linalg.norm(xhat - E @ (E.T @ xhat)) > 1e-7:
         raise NotSemisimple("shared eigenvector escapes the reported eigenspace")
@@ -182,10 +185,6 @@ def _semisimple_eigen_basis(A: np.ndarray, lam: float, tol: ToleranceConfig, x: 
         Efix = np.column_stack([xhat, U_e[:, : p - 1]])
     else:
         Efix = xhat.reshape(-1, 1)
-    U, s, _ = np.linalg.svd(M)
-    r = int(np.sum(s > tol.rank_tol * max(1.0, float(s[0]))))
-    if p + r != m:
-        raise NotSemisimple("eigenvalue is not semisimple")
     return np.column_stack([Efix, U[:, :r]]), p
 
 
@@ -206,12 +205,11 @@ def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
     lams = [float(x @ (M @ x)) for M in mats]
     lam0 = lams[0]
     for j, (M, lam) in enumerate(zip(mats, lams)):
-        scale = max(1.0, float(np.linalg.norm(M)))
-        if abs(lam - lam0) > 1e-7 * scale or np.linalg.norm(M @ x - lam * x) > 1e-7 * scale:
+        cut = 1e-7 * np.linalg.norm(M)
+        if abs(lam - lam0) > cut or np.linalg.norm(M @ x - lam * x) > cut:
             raise PreconditionFailed(f"member {j} does not share the eigenvalue at x")
         spec = eigen_decompose(M, tol)
-        cut = tol.eig_cluster_tol * max(1.0, spec.spectral_radius)
-        ev = next((e for e in spec.eigenvalues if e.is_real and abs(e.value.real - lam0) <= max(cut, 1e-7 * scale)), None)
+        ev = next((e for e in spec.eigenvalues if e.is_real and abs(e.value.real - lam0) <= cut), None)
         if ev is None or ev.degree > 1:
             raise NotSemisimple(f"eigenvalue {lam0:.6g} is not semisimple for member {j}")
 
@@ -227,7 +225,7 @@ def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
         for M in mats_loc[1:]:
             W = T1inv @ M @ T1
             off = max(np.linalg.norm(W[:p, p:]), np.linalg.norm(W[p:, :p]))
-            if off > 1e-6 * max(1.0, float(np.linalg.norm(M))) * np.linalg.cond(T1):
+            if off > 1e-6 * np.linalg.norm(M) * np.linalg.cond(T1):
                 raise NotCommuting("commutators too large to preserve the eigenspace split")
             rest.append(W[:p, :p])
         Trec = build(rest, np.eye(p)[:, 0])
@@ -246,7 +244,7 @@ def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
             float(np.linalg.norm(W[0, 1:])), float(np.linalg.norm(W[1:, 0])),
             abs(float(W[0, 0]) - lam0),
         )
-        if resid > 1e-6 * max(1.0, float(np.linalg.norm(M))) * np.linalg.cond(S):
+        if resid > 1e-6 * np.linalg.norm(M) * np.linalg.cond(S):
             raise NotSemisimple(f"deflation residual {resid:.3e} for member {j}")
         blocks.append(W[1:, 1:])
     return DeflatedFamily(S, lam0, tuple(blocks))
@@ -282,12 +280,13 @@ def _lyapunov_complex(mats, tol) -> np.ndarray:
     j_star = next(i for i, r in enumerate(rhos) if r >= 1.0 - _UNIT_BAND)
     A = mats[j_star]
     values = np.linalg.eigvals(A)
-    reps, cut = distinct_eigenvalues(values, tol)
+    cut = tol.eig_cluster_tol * np.linalg.norm(A)
+    reps = distinct_eigenvalues(values, cut)
     bases, kinds = [], []
     for lam in reps:
         mult = int(np.sum(np.abs(values - lam) <= cut))
         P = np.linalg.matrix_power(A - lam * np.eye(m), mult)
-        bases.append(nullspace(P, tol.rank_tol))
+        bases.append(nullspace(P, tol.rank_tol * np.linalg.norm(A) ** mult))
         kinds.append(abs(lam) >= 1.0 - _UNIT_BAND)
     T = np.column_stack(bases)
     if T.shape[1] != m:
@@ -322,7 +321,7 @@ def common_lyapunov(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> LyapunovCerti
     rhos = []
     for j, B in enumerate(mats):
         spec = eigen_decompose(B, tol)
-        if spec.spectral_radius > 1.0 + tol.eig_cluster_tol * max(1.0, float(np.linalg.norm(B))):
+        if spec.spectral_radius > 1.0 + tol.eig_cluster_tol * np.linalg.norm(B):
             raise HypothesisViolated(f"spectral radius of block {j} exceeds 1")
         for ev in spec.eigenvalues:
             if abs(ev.value) >= 1.0 - _UNIT_BAND and ev.degree > 1:
@@ -350,11 +349,11 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
     construction first, then the commuting route (scale to spectral radius
     one, deflate the shared eigenvector, solve the common Lyapunov
     inequality, return the ellipsoidal cone).  Raises HypothesesNotMet when
-    neither route applies.
+    neither route applies.  Members are scaled to unit norm first, so the
+    answer does not depend on their scale; `spectral_radii` and the Lyapunov
+    fields describe the scaled members.
     """
-    if len(family) == 0:
-        raise EmptyFamily("no matrices")
-    mats = [as_square_matrix(M) for M in family]
+    mats = unit_members(family)
     reports = [is_vandergraft(M, tol) for M in mats]
     bad = next((j for j, rep in enumerate(reports) if not rep.is_vandergraft), None)
     if bad is not None:
@@ -376,33 +375,19 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
     except NotCommuting as exc:
         raise HypothesesNotMet("NotCommuting", f"{exc}; also not normal ({normal_note})") from exc
 
-    live, dropped, rhos = [], [], []
+    live, dropped = [], []
     for j, (M, rep) in enumerate(zip(mats, reports)):
         spec = rep.spectrum
         rho = spec.spectral_radius
-        scale = max(1.0, float(np.linalg.norm(M)))
-        if rho <= tol.eig_cluster_tol * scale:
-            if float(np.linalg.norm(M)) <= tol.eig_cluster_tol * scale:
-                dropped.append(j)
-                continue
+        if not M.any():
+            dropped.append(j)
+            continue
+        if rho <= tol.eig_cluster_tol:
             raise HypothesesNotMet("NotSemisimple", f"member {j} is nilpotent but nonzero")
         dom = spec.dominant(tol)
         if dom is None or dom.degree > 1:
             raise HypothesesNotMet("NotSemisimple", f"spectral radius of member {j} is not semisimple")
         live.append(M / rho)
-        rhos.append(rho)
-    if not live:
-        # Every member is the zero matrix; any proper cone about x works.
-        m = mats[0].shape[0]
-        B = nullspace(x.reshape(1, -1), tol.rank_tol)
-        K = QuadraticCone(m, x, np.eye(m - 1), B)
-        checks = [{"matrix": f"A{j}", "method": "trivial", "psd_margin": 0.0}
-                  for j in range(len(mats))]
-        return Decision(dd.YES, K, {
-            "construction": "all members are zero matrices; ice-cream cone about x",
-            "checks": checks,
-        }, route="shared-dominant")
-
     try:
         deflated = deflate(live, x, tol)
         cert = common_lyapunov(deflated.blocks, tol)

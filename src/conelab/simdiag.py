@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import decision as dd
-from .cones import PolyhedralCone, contains, is_proper, nnls_distance, unit
+from .cones import _ZERO_NORM, PolyhedralCone, _norm, contains, is_proper, nnls_distance, unit
 from .decision import Decision
 from .errors import (
     DimensionMismatch,
@@ -36,6 +36,7 @@ from .linalg import (
     distinct_eigenvalues,
     eigen_decompose,
     nullspace,
+    unit_members,
 )
 
 _MAX_DRAWS = 8
@@ -84,13 +85,13 @@ class DominantIndexSet:
 def _split_by_member(basis: np.ndarray, A: np.ndarray, tol: ToleranceConfig):
     """Split an A-invariant subspace (orthonormal complex basis) by A's eigenvalues."""
     R = basis.conj().T @ (A @ basis)
-    s = basis.shape[1]
-    if s == 1:
-        return [(basis, complex(R[0, 0]))]
-    reps, cut = distinct_eigenvalues(np.linalg.eigvals(R), tol)
+    cut = tol.eig_cluster_tol * np.linalg.norm(A)
+    reps = distinct_eigenvalues(np.linalg.eigvals(R), cut)
+    if len(reps) == 1:
+        return [(basis, reps[0])]
     out = []
     for lam in reps:
-        ns = nullspace(R - lam * np.eye(s), max(tol.rank_tol, cut))
+        ns = nullspace(R - lam * np.eye(R.shape[0]), cut)
         if ns.shape[1] == 0:
             raise RefinementFailed("lost an eigenspace while refining a joint block")
         sub, _ = np.linalg.qr(basis @ ns)
@@ -116,7 +117,8 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     Draws up to eight seeded positive combinations, keeps the one with the
     most distinct eigenvalues, refines its degenerate eigenspaces until every
     member is diagonal, and merges columns into blocks of equal joint
-    eigenvalue tuples.
+    eigenvalue tuples.  Eigenvalue comparisons are absolute: they assume
+    members of unit norm, which `decide_simdiag` supplies.
     """
     if len(family) == 0:
         raise EmptyFamily("no matrices to diagonalize")
@@ -134,41 +136,37 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     draws = [rng.uniform(0.5, 1.5, size=len(mats)) for _ in range(_MAX_DRAWS)]
 
     combos = [sum(cj * M for cj, M in zip(c, mats)) for c in draws]
-    counted = [distinct_eigenvalues(np.linalg.eigvals(B), tol)[0] for B in combos]
-    best = int(np.argmax([len(reps) for reps in counted]))
-    B0 = combos[best]
-    cut = tol.eig_cluster_tol * max(1.0, float(np.linalg.norm(B0)))
+    counted = [len(distinct_eigenvalues(np.linalg.eigvals(B), tol.eig_cluster_tol * np.linalg.norm(B)))
+               for B in combos]
+    B0 = combos[int(np.argmax(counted))]
+    cut = tol.eig_cluster_tol
 
-    # Refine each witness eigenspace into joint blocks, then merge equal tuples.
-    raw: list[tuple[tuple[complex, ...], int]] = []
-    for lam in counted[best]:
-        basis = nullspace(B0.astype(complex) - lam * np.eye(m), max(tol.rank_tol, cut))
-        raw.extend(_joint_blocks(mats, basis, tol))
+    # Split by the witness eigenspaces, refine into joint blocks, then merge
+    # equal tuples.
     merged: list[list] = []
-    for tup, size in raw:
+    for tup, size in _joint_blocks([B0] + mats, np.eye(m, dtype=complex), tol):
+        tup = tup[1:]
         hit = next((g for g in merged if all(abs(a - b) <= cut for a, b in zip(g[0], tup))), None)
         if hit is None:
             merged.append([tup, size])
         else:
             hit[1] += size
 
-    scale = max(1.0, max(float(np.linalg.norm(M)) for M in mats))
-    zero_cut = tol.eig_cluster_tol * scale
-
     def canon(z: complex) -> complex:
-        re = 0.0 if abs(z.real) <= zero_cut else z.real
-        im = 0.0 if abs(z.imag) <= zero_cut else z.imag
+        re = 0.0 if abs(z.real) <= cut else z.real
+        im = 0.0 if abs(z.imag) <= cut else z.imag
         return complex(re, im)
 
     tuples = [tuple(canon(z) for z in tup) for tup, _ in merged]
     q = len(tuples)
 
-    # Reference eigenvalues must be pairwise distinct; redraw if a draw fails.
+    # Reference eigenvalues must be pairwise distinct.  The plain sum comes
+    # first because it does not depend on the member order; redraw if it fails.
     b = None
     chosen = None
-    for c in draws:
+    for c in [np.ones(len(mats))] + draws:
         cand = np.array([sum(cj * z for cj, z in zip(c, tup)) for tup in tuples])
-        ok = all(abs(cand[i] - cand[j]) > tol.eig_cluster_tol * max(1.0, float(np.max(np.abs(cand))))
+        ok = all(abs(cand[i] - cand[j]) > tol.eig_cluster_tol * float(np.max(np.abs(cand)))
                  for i in range(q) for j in range(i + 1, q))
         if ok:
             b, chosen = cand, c
@@ -217,7 +215,7 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
                        tuple(e[2] for e in entries), tuple(e[3] for e in entries))
     for j, M in enumerate(mats):
         err = np.linalg.norm(form.reconstruct(j) - M)
-        if err > 1e-6 * max(1.0, float(np.linalg.norm(M))):
+        if err > 1e-6 * np.linalg.norm(M):
             raise RefinementFailed(f"reconstruction residual {err:.3e} for member {j}")
     return form
 
@@ -265,7 +263,7 @@ def _tiebreak(form: SimDiagForm, omega, tol: ToleranceConfig):
     cone)."""
     bs = form.b[omega]
     target = float(np.max(np.abs(bs)))
-    eps = tol.eig_cluster_tol * max(1.0, target)
+    eps = tol.eig_cluster_tol * target
     for k, i in enumerate(omega):
         if abs(bs[k].imag) <= eps and bs[k].real > 0 and abs(bs[k].real - target) <= eps:
             return i, True
@@ -280,23 +278,30 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
     `exact` is set when, additionally, a feasibility certificate over the
     log-magnitude points shows no block outside the set can be weakly maximal
     in any nonnegative direction (only available for strictly nonzero
-    spectra).
+    spectra).  A non-Vandergraft product aborts the search at the end of its
+    exponent sum, so the partial set does not depend on the member order.
     """
     indices: set[int] = set()
     witnesses: dict[int, tuple[int, ...]] = {}
     notes: list[str] = []
+    failed = None
     for exps in _exponent_tuples(form.family_size, bound):
+        if failed is not None and sum(exps) > sum(failed):
+            break
         omega = _omega(form, exps, tol)
         if not omega:
-            partial = DominantIndexSet(frozenset(indices), dict(witnesses), bound, False,
-                                       tuple(notes) + (f"aborted at non-Vandergraft tuple {tuple(exps)}",))
-            raise NonVandergraftProduct(exps, partial=partial)
+            failed = failed or exps
+            continue
         p, strict_rule = _tiebreak(form, omega, tol)
         if not strict_rule:
             notes.append(f"tie-break fallback (largest real part) at exponents {tuple(exps)}")
         if p not in indices:
             indices.add(p)
             witnesses[p] = tuple(exps)
+    if failed is not None:
+        partial = DominantIndexSet(frozenset(indices), witnesses, bound, False,
+                                   tuple(notes) + (f"aborted at non-Vandergraft tuple {tuple(failed)}",))
+        raise NonVandergraftProduct(failed, partial=partial)
 
     exact = False
     if np.all(np.abs(form.lambda_table) > 0):
@@ -385,7 +390,7 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
         for A in form.family:
             for idx in frontier:
                 w = A @ gens[idx]
-                if np.linalg.norm(w) <= 1e-300:
+                if _norm(w) < _ZERO_NORM:
                     continue
                 w = unit(w)
                 if not absorbed(w):
@@ -434,13 +439,12 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
 
 def _nonnegativity_violation(form: SimDiagForm, dominant: DominantIndexSet,
                              tol: ToleranceConfig, real_only: bool = False) -> dict | None:
-    scales = [max(1.0, float(np.linalg.norm(M))) for M in form.family]
+    eps = tol.eig_cluster_tol  # the members have unit norm
     for i in sorted(dominant.indices):
         for j in range(form.family_size):
             lam = form.lambda_table[i, j]
-            sign_violation = lam.real < -tol.eig_cluster_tol * scales[j] and \
-                abs(lam.imag) <= tol.eig_cluster_tol * scales[j]
-            complex_violation = abs(lam.imag) > tol.eig_cluster_tol * scales[j]
+            sign_violation = lam.real < -eps and abs(lam.imag) <= eps
+            complex_violation = abs(lam.imag) > eps
             if sign_violation or (complex_violation and not real_only):
                 return {
                     "block": i,
@@ -453,8 +457,12 @@ def _nonnegativity_violation(form: SimDiagForm, dominant: DominantIndexSet,
 
 def decide_simdiag(family, tol: ToleranceConfig = DEFAULT_TOL, bound: int = 8,
                    seed: int = 0, word_len: int = 12) -> Decision:
-    """Exact decision for commuting diagonalizable families of any size."""
-    form = simultaneous_diagonalize(family, tol, seed)
+    """Exact decision for commuting diagonalizable families of any size.
+
+    Members are scaled to unit norm first, so the answer does not depend on
+    their scale; eigenvalues in the evidence belong to the scaled members.
+    """
+    form = simultaneous_diagonalize(unit_members(family), tol, seed)
     try:
         dominant = dominant_index_set(form, bound, tol)
     except NonVandergraftProduct as exc:

@@ -13,6 +13,7 @@ from conelab.cones import (
     is_proper,
     prune_generators,
     sample_points,
+    unit,
 )
 from conelab.errors import DimensionMismatch, EmptyInput
 
@@ -219,6 +220,14 @@ class TestHullAndPrune:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             conic_hull([])
+
+    def test_tiny_generators_keep_their_directions(self):
+        K = conic_hull([[1e-15, 0], [0, 1e-15]])
+        assert is_proper(K)
+        assert gen_set(K) == {(0.0, 1.0), (1.0, 0.0)}
+
+    def test_unit_of_a_vector_whose_square_underflows(self):
+        assert np.array_equal(unit(np.array([1e-170, 0.0])), [1.0, 0.0])
 
     def test_prune_preserves_membership(self):
         rng = np.random.default_rng(13)

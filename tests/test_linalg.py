@@ -33,6 +33,14 @@ class TestEigenDecompose:
         spec = eigen_decompose([[1, 1], [0, 1]])
         assert eig_map(spec) == {(1 + 0j): (2, 2)}
 
+    def test_scalar_up_to_rounding(self):
+        # A - I is rounding noise shaped like a Jordan block; ranks relative to
+        # its own size alone would report degree 3
+        A = np.eye(3) + np.diag([1e-17, 1e-17], 1)
+        for c in (1e-9, 1.0, 1e9):
+            (ev,) = eigen_decompose(c * A).eigenvalues
+            assert (ev.multiplicity, ev.degree, ev.eigenvectors.shape) == (3, 1, (3, 3))
+
     def test_conjugate_symmetry_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -172,6 +172,17 @@ class TestMakeInvariantCone:
             rep = is_invariant(K, A)
             assert rep.invariant and rep.max_distance <= 1e-9
 
+    def test_tiny_member_gives_the_same_cone(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            A = detneg_tracepos(rng)
+            v = rng.normal(size=2)
+            K, proper = make_invariant_cone(A, v)
+            K_tiny, proper_tiny = make_invariant_cone(1e-16 * A, v)
+            assert proper_tiny == proper
+            if proper:
+                assert same_cone(K_tiny, K)
+
 
 class TestExtendedFamily:
     def test_example_7_1(self):
