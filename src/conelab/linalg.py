@@ -267,7 +267,6 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
 
-    rho = float(np.max(np.abs(values)))
     cut = tol.eig_cluster_tol * np.linalg.norm(M)
     centers = distinct_eigenvalues(values, cut)
     nearest = np.argmin(np.abs(values[:, None] - np.array(centers)[None, :]), axis=1)
@@ -309,7 +308,7 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
         eigenvalues.append(EigenValue(v, m, deg, vecs))
 
     eigenvalues.sort(key=lambda ev: (-abs(ev.value), -ev.value.real, ev.value.imag))
-    return Spectrum(n, tuple(eigenvalues), rho)
+    return Spectrum(n, tuple(eigenvalues), abs(eigenvalues[0].value))
 
 
 def is_vandergraft(A, tol: ToleranceConfig = DEFAULT_TOL) -> VandergraftReport:

@@ -43,7 +43,6 @@ class EigenFrame2:
     lam2: float | None
     u1: np.ndarray | None
     u2: np.ndarray | None
-    orientation_ref: np.ndarray | None
     is_scalar: bool
     trace: float
     det: float
@@ -85,29 +84,25 @@ def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
 
     if t < -eps * s or disc < -eps * s * s:
         lam = None
-        return EigenFrame2(KIND_NOT, lam, lam, None, None, None, False, t, d)
+        return EigenFrame2(KIND_NOT, lam, lam, None, None, False, t, d)
 
     scalar = np.linalg.norm(M - (t / 2.0) * np.eye(2)) <= eps * s
     if scalar:
         c = t / 2.0
-        return EigenFrame2(KIND_DIAG, c, c, None, None, None, True, t, d)
+        return EigenFrame2(KIND_DIAG, c, c, None, None, True, t, d)
 
     if d < -eps * s * s:
         root = np.sqrt(max(disc, 0.0))
         lam1, lam2 = (t + root) / 2.0, (t - root) / 2.0
-        return EigenFrame2(KIND_NEGDET, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), None, False, t, d)
+        return EigenFrame2(KIND_NEGDET, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), False, t, d)
 
     if disc <= eps * s * s:
         lam = t / 2.0
-        u1 = _eigvec_2x2(M, lam)
-        w = _perp(u1)
-        x = float(((M @ w) - lam * w) @ u1)
-        ref = w if x > 0 else -w
-        return EigenFrame2(KIND_NONDIAG, lam, lam, u1, None, ref, False, t, d)
+        return EigenFrame2(KIND_NONDIAG, lam, lam, _eigvec_2x2(M, lam), None, False, t, d)
 
     root = np.sqrt(disc)
     lam1, lam2 = (t + root) / 2.0, (t - root) / 2.0
-    return EigenFrame2(KIND_DIAG, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), None, False, t, d)
+    return EigenFrame2(KIND_DIAG, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), False, t, d)
 
 
 def associated_sign(A, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -217,14 +212,12 @@ def make_invariant_cone(A, v, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Polyh
 class TaggedMatrix:
     matrix: np.ndarray
     label: str
-    factors: tuple[int, int] | None = None
-    index: int | None = None
 
 
 def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMatrix]:
     """Input family plus all non-scalar ordered products of its negative-determinant members."""
     mats = [as_square_matrix(M) for M in family]
-    tagged = [TaggedMatrix(M, f"A{i}", None, i) for i, M in enumerate(mats)]
+    tagged = [TaggedMatrix(M, f"A{i}") for i, M in enumerate(mats)]
     neg = [i for i, M in enumerate(mats)
            if float(np.linalg.det(M)) < -tol.eig_cluster_tol * float(np.linalg.norm(M)) ** 2]
     for i in neg:
@@ -233,7 +226,7 @@ def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMa
             c = float(P[0, 0] + P[1, 1]) / 2.0
             if np.linalg.norm(P - c * np.eye(2)) <= tol.geom_tol * np.linalg.norm(P):
                 continue
-            tagged.append(TaggedMatrix(P, f"A{i}*A{j}", (i, j), None))
+            tagged.append(TaggedMatrix(P, f"A{i}*A{j}"))
     return tagged
 
 
@@ -247,9 +240,6 @@ class LinePoint:
 
 @dataclass(frozen=True)
 class NecessaryReport:
-    vandergraft_ok: bool
-    nondiag_ok: bool
-    separation_ok: bool
     failed: str | None                 # first failing certificate name, canonical order
     evidence: dict = field(default_factory=dict)
     arc: tuple[float, float] | None = None
@@ -358,16 +348,16 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
 
     bad = next((tm.label for tm, fr in zip(ext, frames) if fr.kind == KIND_NOT), None)
     if bad is not None:
-        return NecessaryReport(False, False, False, dd.NOT_VANDERGRAFT_IN_A1,
+        return NecessaryReport(dd.NOT_VANDERGRAFT_IN_A1,
                                {"member": bad}, extended=tuple(ext), frames=tuple(frames))
 
     lines, conflict = _orientation_groups(ext, frames, tol)
     if len(lines) > 2:
-        return NecessaryReport(True, False, False, dd.TOO_MANY_NONDIAG_LINES,
+        return NecessaryReport(dd.TOO_MANY_NONDIAG_LINES,
                                {"lines": [g["angle"] for g in lines]},
                                extended=tuple(ext), frames=tuple(frames))
     if conflict is not None:
-        return NecessaryReport(True, False, False, dd.ORIENTATION_CONFLICT,
+        return NecessaryReport(dd.ORIENTATION_CONFLICT,
                                {"members": list(conflict)},
                                extended=tuple(ext), frames=tuple(frames))
 
@@ -380,10 +370,10 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
         }
         if close:
             ev["conflict"] = close
-        return NecessaryReport(True, True, False, dd.SEPARATION_FAILS, ev,
+        return NecessaryReport(dd.SEPARATION_FAILS, ev,
                                points=tuple(points), extended=tuple(ext), frames=tuple(frames),
                                nondiag_lines=tuple(g["angle"] for g in lines))
-    return NecessaryReport(True, True, True, None, {}, arc=arc, points=tuple(points),
+    return NecessaryReport(None, {}, arc=arc, points=tuple(points),
                            extended=tuple(ext), frames=tuple(frames),
                            nondiag_lines=tuple(g["angle"] for g in lines),
                            close_calls=tuple(close))
@@ -578,7 +568,8 @@ def _decide_two_lines(mats, frames, report, tol) -> Decision:
                 return _no(dd.TWO_LINE_CONDITION_FAILS,
                            {"member": f"A{i}", "ratio": r, "bounds": [lo, hi],
                             "reason": "eigenvalue ratio bound violated"})
-    return _yes(mats, K, tol, "two non-diagonalizable dominant lines; unique candidate pair")
+    extra = {"close_calls": list(report.close_calls)} if report.close_calls else None
+    return _yes(mats, K, tol, "two non-diagonalizable dominant lines; unique candidate pair", extra)
 
 
 def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
@@ -608,10 +599,7 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
 
     report = necessary_conditions(mats, tol)
     if not report.all_ok:
-        cert = {"failed_condition": report.failed, "evidence": report.evidence}
-        if report.close_calls:
-            cert["close_calls"] = list(report.close_calls)
-        return Decision(dd.NO, None, cert)
+        return _no(report.failed, report.evidence)
 
     z = len(report.nondiag_lines)
     if z == 2:
@@ -630,7 +618,7 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
         if p.nondominant_for and _line_hits_interior(g1, g2, _dir(p.angle), tol.geom_tol):
             return _no(dd.BIG_CONE_HITS_NON_DOMINANT,
                        {"angle": p.angle, "members": list(p.nondominant_for)})
-    close = []
+    close = list(report.close_calls)
     for i in neg:
         for w in (frames[i].u1, frames[i].u2):
             for edge in (g1, g2):

@@ -5,9 +5,13 @@ shared dominant eigenvector when the family is normal (or similar to normal
 via a caller-supplied real similarity), and, for commuting families whose
 spectral radii are semisimple, deflation of the shared eigenvector followed
 by a common Lyapunov inequality on the deflated blocks, giving an
-ellipsoidal cone.  The Lyapunov matrix comes from nested Stein equations,
-after a root-subspace split when some block has unit-modulus eigenvalues,
-and every witness is re-checked with the exact quadratic invariance test.
+ellipsoidal cone.  Deflation splits the space once, into the joint
+eigenspace of the shared eigenvalue and the sum of the members' ranges at
+it; a member that is defective there makes the split fail, which is
+reported as undecided.  The Lyapunov matrix comes from nested Stein
+equations, after a root-subspace split when some block has unit-modulus
+eigenvalues, and every witness is re-checked with the exact quadratic
+invariance test.
 A failed hypothesis is reported as "undecided", never as a proof of
 non-existence; the only NO is a member failing the spectral (Vandergraft)
 test, which no family with a common cone can contain.
@@ -151,49 +155,35 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
         Tinv = np.linalg.inv(T)
         K = quadratic_cone_from_form(Tinv.T @ Kw.ambient_form() @ Tinv, x)
 
+    return Decision(dd.YES, K, {
+        "construction": "ice-cream cone about the shared dominant eigenvector",
+        "spectral_radii": rhos,
+        "checks": _witness_checks(K, mats, tol, "ice-cream certificate"),
+    }, route="shared-dominant")
+
+
+def _witness_checks(K: QuadraticCone, mats, tol: ToleranceConfig, what: str) -> list[dict]:
+    """Re-check the witness on every member; a failure is a bug, not a NO."""
     checks = []
     for j, M in enumerate(mats):
         rep = is_invariant(K, M, tol)
         if not rep.invariant:
-            raise InternalInconsistency(f"ice-cream certificate failed for member {j}")
+            raise InternalInconsistency(f"{what} fails for member {j}")
         checks.append({"matrix": f"A{j}", "method": rep.method, "psd_margin": rep.psd_margin,
                        "multiplier": rep.multiplier})
-    return Decision(dd.YES, K, {
-        "construction": "ice-cream cone about the shared dominant eigenvector",
-        "spectral_radii": rhos,
-        "checks": checks,
-    }, route="shared-dominant")
-
-
-def _semisimple_eigen_basis(A: np.ndarray, lam: float, tol: ToleranceConfig, x: np.ndarray):
-    """Real basis [x-hat | rest-of-eigenspace | range of A - lam I] splitting A at lam,
-    from one SVD of A - lam I cut at eig_cluster_tol * ||A|| (p = m - rank).
-    """
-    m = A.shape[0]
-    U, s, vh = np.linalg.svd(A - lam * np.eye(m))
-    r = int(np.sum(s > tol.eig_cluster_tol * np.linalg.norm(A)))
-    E = vh[r:].T
-    p = m - r
-    xhat = x / np.linalg.norm(x)
-    if np.linalg.norm(xhat - E @ (E.T @ xhat)) > 1e-7:
-        raise NotSemisimple("shared eigenvector escapes the reported eigenspace")
-    # Rotate the eigenspace basis so its first column is x: project x out of E
-    # and keep the p-1 surviving orthonormal directions.
-    if p > 1:
-        resid = E - np.outer(xhat, xhat @ E)
-        U_e, s_e, _ = np.linalg.svd(resid, full_matrices=False)
-        Efix = np.column_stack([xhat, U_e[:, : p - 1]])
-    else:
-        Efix = xhat.reshape(-1, 1)
-    return np.column_stack([Efix, U[:, :r]]), p
+    return checks
 
 
 def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
     """Split off a shared semisimple eigenvalue: S^-1 A_j S = diag(lam0, B_j).
 
-    Induction on the family: split by the first member's eigenspace (which
-    every other member preserves, by commutativity), send x to the first
-    basis vector, and recurse on the restrictions.
+    When lam0 is semisimple for every member of a commuting family, R^m is
+    the direct sum of E, the kernel of the stacked A_j - lam0 I, and F, the
+    sum of their ranges, and every member preserves both.  One SVD of each
+    stack, cut at eig_cluster_tol * max ||A_j||, gives orthonormal bases, and
+    S = [x, rest of E, F].  NotSemisimple is raised unless the two bases
+    span R^m with a smallest singular value of [E F] above
+    sqrt(eig_cluster_tol), which a defective member (E meeting F) fails.
     """
     mats = [as_square_matrix(M) for M in family]
     if not mats:
@@ -208,34 +198,24 @@ def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
         cut = 1e-7 * np.linalg.norm(M)
         if abs(lam - lam0) > cut or np.linalg.norm(M @ x - lam * x) > cut:
             raise PreconditionFailed(f"member {j} does not share the eigenvalue at x")
-        spec = eigen_decompose(M, tol)
-        ev = next((e for e in spec.eigenvalues if e.is_real and abs(e.value.real - lam0) <= cut), None)
-        if ev is None or ev.degree > 1:
-            raise NotSemisimple(f"eigenvalue {lam0:.6g} is not semisimple for member {j}")
 
-    def build(mats_loc, x_loc):
-        mloc = mats_loc[0].shape[0]
-        if mloc == 1:
-            return np.eye(1)
-        T1, p = _semisimple_eigen_basis(mats_loc[0], lam0, tol, x_loc)
-        if len(mats_loc) == 1 or p == 1:
-            return T1
-        T1inv = np.linalg.inv(T1)
-        rest = []
-        for M in mats_loc[1:]:
-            W = T1inv @ M @ T1
-            off = max(np.linalg.norm(W[:p, p:]), np.linalg.norm(W[p:, :p]))
-            if off > 1e-6 * np.linalg.norm(M) * np.linalg.cond(T1):
-                raise NotCommuting("commutators too large to preserve the eigenspace split")
-            rest.append(W[:p, :p])
-        Trec = build(rest, np.eye(p)[:, 0])
-        S = T1 @ np.block([
-            [Trec, np.zeros((p, mloc - p))],
-            [np.zeros((mloc - p, p)), np.eye(mloc - p)],
-        ])
-        return S
+    shifted = [M - lam0 * np.eye(m) for M in mats]
+    cut = tol.eig_cluster_tol * max(np.linalg.norm(M) for M in mats)
+    _, s, vh = np.linalg.svd(np.vstack(shifted))
+    E = vh[int(np.sum(s > cut)):].T
+    U, s, _ = np.linalg.svd(np.hstack(shifted))
+    F = U[:, : int(np.sum(s > cut))]
+    if E.shape[1] + F.shape[1] != m:
+        raise NotSemisimple(f"kernel and ranges at {lam0:.6g} have dimensions "
+                            f"{E.shape[1]} + {F.shape[1]} != {m}")
+    if np.linalg.svd(np.hstack([E, F]), compute_uv=False)[-1] < np.sqrt(tol.eig_cluster_tol):
+        raise NotSemisimple(f"eigenvalue {lam0:.6g} is not semisimple for every member")
+    if np.linalg.norm(x - E @ (E.T @ x)) > 1e-7:
+        raise NotSemisimple("shared eigenvector escapes the joint eigenspace")
+    # The rest of E: project x out and keep the dim E - 1 surviving directions.
+    rest, _, _ = np.linalg.svd(E - np.outer(x, x @ E), full_matrices=False)
+    S = np.column_stack([x, rest[:, : E.shape[1] - 1], F])
 
-    S = build(mats, x)
     blocks = []
     Sinv = np.linalg.inv(S)
     for j, M in enumerate(mats):
@@ -403,18 +383,11 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
     if not contains(K, x, tol).interior:
         raise InternalInconsistency("shared dominant eigenvector is not interior to the witness")
 
-    checks = []
-    for j, M in enumerate(mats):
-        rep = is_invariant(K, M, tol)
-        if not rep.invariant:
-            raise InternalInconsistency(f"ellipsoidal witness fails for member {j}")
-        checks.append({"matrix": f"A{j}", "method": rep.method, "psd_margin": rep.psd_margin,
-                       "multiplier": rep.multiplier})
     return Decision(dd.YES, K, {
         "construction": "ellipsoidal cone from deflation and a common Lyapunov inequality",
         "lyapunov_method": cert.method,
         "lyapunov_residuals": list(cert.residuals),
         "lyapunov_min_eigenvalue": cert.min_eigenvalue,
         "dropped_zero_members": dropped,
-        "checks": checks,
+        "checks": _witness_checks(K, mats, tol, "ellipsoidal witness"),
     }, route="shared-dominant")

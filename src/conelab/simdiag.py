@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import decision as dd
-from .cones import _ZERO_NORM, PolyhedralCone, _norm, contains, is_proper, nnls_distance, unit
+from .cones import _ZERO_NORM, PolyhedralCone, _norm, contains, is_proper, nnls_distance, prune_generators, unit
 from .decision import Decision
 from .errors import (
     DimensionMismatch,
@@ -401,17 +401,7 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
             break
         frontier = fresh
 
-    # Drop generators that became redundant as later words arrived.
-    k = 0
-    while k < len(gens) and len(gens) > 1:
-        rest = gens[:k] + gens[k + 1:]
-        dist, _ = nnls_distance(np.array(rest).T, gens[k])
-        if dist <= tol.geom_tol:
-            gens.pop(k)
-            tags.pop(k)
-        else:
-            k += 1
-
+    # Check every generator before pruning, which drops the tags.
     slack = tol.geom_tol * (1.0 + float(np.linalg.norm(Finv, 2)))
     for g, t in zip(gens, tags):
         alpha = Finv @ g
@@ -421,7 +411,7 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
             raise PointednessCertificateFailed(
                 f"coordinate inequality violated on a generator (tag {t})")
 
-    K = PolyhedralCone(form.dim, np.array(sorted(gens, key=lambda v: tuple(v))))
+    K = prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
     defect = 0.0
     for A in form.family:
         for g in K.generators:

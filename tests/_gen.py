@@ -116,6 +116,19 @@ def shared_dominant_commuting(rng, dim=3, count=2):
     return out, x / np.linalg.norm(x)
 
 
+def jordan_at_rho(rng, dim=3):
+    """T J T^-1 with a 2x2 Jordan block at the spectral radius 1 and cond(T) < 50.
+
+    It has an invariant proper cone, but its spectral radius is not semisimple.
+    """
+    T = rng.normal(size=(dim, dim))
+    while np.linalg.cond(T) >= 50:
+        T = rng.normal(size=(dim, dim))
+    J = np.diag([1.0, 1.0] + list(rng.uniform(-0.9, 0.9, size=dim - 2)))
+    J[0, 1] = 1.0
+    return T @ J @ np.linalg.inv(T)
+
+
 def normal_shared_dominant(rng, dim=4, count=2):
     """Normal members sharing a dominant unit eigenvector."""
     x = rng.normal(size=dim)

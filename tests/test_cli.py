@@ -23,6 +23,22 @@ def emit(tmp_path):
     return _emit
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Caller names of eigen_decompose calls, counted in every conelab module that binds it."""
+    original = conelab.linalg.eigen_decompose
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("conelab") and getattr(mod, "eigen_decompose", None) is original:
+            monkeypatch.setattr(mod, "eigen_decompose", counted)
+    return callers
+
+
 class TestExitCodes:
     def test_yes(self, emit, tmp_path):
         assert main(["common", emit("diag_pair"), "--out", str(tmp_path / "d.json")]) == 0
@@ -200,7 +216,7 @@ class TestRouting:
         assert payload["certificate"]["failed_condition"] == "NotVandergraftInA1"
         assert payload["certificate"]["evidence"]["member"] == "A1"
 
-    def test_each_member_is_decomposed_once(self, tmp_path, monkeypatch):
+    def test_each_member_is_decomposed_once(self, tmp_path, decompositions):
         # non-commuting normal family sharing the dominant vector e1
         def rot(i, j, th):
             M = np.diag([3.0, 1.0, 1.0, 1.0])
@@ -208,25 +224,15 @@ class TestRouting:
             M[i, j], M[j, i] = -np.sin(th), np.sin(th)
             return M
         mats = [rot(1, 2, 0.3), rot(2, 3, 0.7), rot(1, 3, 1.1)]
-        original = conelab.linalg.eigen_decompose
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("conelab") and getattr(mod, "eigen_decompose", None) is original:
-                monkeypatch.setattr(mod, "eigen_decompose", counted)
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"dimension": 4, "matrices": [M.tolist() for M in mats]}))
         dec = tmp_path / "d.json"
         assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 0
         assert json.loads(dec.read_text())["route"] == "shared-dominant"
-        assert len(calls) == 3
+        assert len(decompositions) == 3
 
     @pytest.mark.parametrize("mu, nu", [(0.5, 0.4), (-0.8, 1.0), (0.95, 1.0)])
-    def test_commuting_jordan_family_takes_shared_dominant(self, tmp_path, mu, nu):
+    def test_commuting_jordan_family_takes_shared_dominant(self, tmp_path, decompositions, mu, nu):
         # the Jordan block splits under rounding, so simdiag cannot refine it
         T = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
 
@@ -243,6 +249,8 @@ class TestRouting:
         K = cone_from_json(payload["witness"])
         for M in mats:
             assert is_invariant(K, M).invariant
+        # deflation splits the family by one joint kernel/range SVD
+        assert "deflate" not in decompositions
         assert main(["common", str(fam), "--method", "simdiag", "--reproducible",
                      "--out", str(dec)]) == 3
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _gen import jordan_at_rho
 from conelab.errors import DimensionMismatch, DimensionTooLarge
 from conelab.linalg import (
     DEFAULT_TOL,
@@ -115,6 +116,18 @@ class TestVandergraft:
                 ev.degree <= dom.degree for ev in spec.peripheral(tol)
             )
             assert rep.is_vandergraft == spectral, A
+
+    def test_jordan_block_at_radius_split_into_reals(self):
+        # rounding may split the block into two real eigenvalues that cluster
+        # into one; the radius must be that cluster's, not the larger raw value
+        rng = np.random.default_rng(0)
+        real = 0
+        for _ in range(300):
+            M = jordan_at_rho(rng, dim=3)
+            if np.all(np.linalg.eigvals(M).imag == 0):
+                real += 1
+                assert is_vandergraft(M).is_vandergraft, M
+        assert real > 100
 
     def test_dominant_data_present_iff_vandergraft(self):
         rep = is_vandergraft(np.diag([2.0, 1.0]))

@@ -3,7 +3,9 @@
 A cone is invariant under M exactly when it is invariant under cM for any
 c > 0, so scaling each member by its own positive factor, or reordering the
 members, must leave every answer and its failed condition unchanged.  Each
-member here gets a factor 10^k with k in [-9, 9].
+member here gets a factor 10^k with k in [-9, 9].  Conjugating a family by
+an invertible T maps its cones along, so that must not change an answer
+either; the shared-dominant route is checked for T with cond(T) < 20.
 
 The 2x2 and shared-dominant witnesses are exact, so every YES witness must
 pass the oracle on the original members.  The simdiag witness closes the
@@ -88,6 +90,21 @@ def test_simdiag_route(seed, kind, data):
 @given(seeds, st.sampled_from(["normal", "commuting"]), st.data())
 def test_shared_dominant_route(seed, kind, data):
     assert_same_decision(decide_shared_dominant, shared_family(np.random.default_rng(seed), kind), data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.integers(3, 5))
+def test_shared_dominant_similarity(seed, dim):
+    rng = np.random.default_rng(seed)
+    fam = shared_dominant_commuting(rng, dim=dim, count=2)[0]
+    T = rng.normal(size=(dim, dim))
+    while np.linalg.cond(T) >= 20:
+        T = rng.normal(size=(dim, dim))
+    conj = [T @ M @ np.linalg.inv(T) for M in fam]
+    base, changed = decide_shared_dominant(fam), decide_shared_dominant(conj)
+    assert outcome(changed) == outcome(base)
+    if changed.answer == "yes":
+        assert verdicts(changed.witness, conj) == [True] * len(conj)
 
 
 @settings(max_examples=200, deadline=None)

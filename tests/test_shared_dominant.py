@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _gen import contractive_commuting_blocks, normal_shared_dominant, shared_dominant_commuting
+from _gen import contractive_commuting_blocks, jordan_at_rho, normal_shared_dominant, shared_dominant_commuting
 from conelab.cones import contains, is_invariant
 from conelab.errors import (
     HypothesesNotMet,
@@ -108,6 +108,21 @@ class TestDeflate:
             target[0, 0] = df.lam0
             target[1:, 1:] = B
             assert np.linalg.norm(W - target) < 1e-10
+
+    def test_joint_eigenspace_smaller_than_first_members(self):
+        # lam0 = 1 has a 2-D eigenspace for the first member but only e1 is shared
+        df = deflate([np.diag([1.0, 1.0, 0.5]), np.diag([1.0, 0.7, 0.5])], [1, 0, 0])
+        assert np.allclose(np.abs(df.S[:, 0]), [1, 0, 0])
+        assert np.allclose(df.S[0, 1:], 0)
+        assert df.lam0 == 1.0
+        for block, spectrum in zip(df.blocks, ([0.5, 1.0], [0.5, 0.7])):
+            assert np.allclose(np.sort(np.linalg.eigvals(block).real), spectrum)
+
+    def test_later_member_defective(self):
+        # the first member is semisimple at 1, the second has a Jordan block there
+        J = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+        with pytest.raises(NotSemisimple):
+            deflate([np.diag([1.0, 1.0, 0.5]), J], [1, 0, 0])
 
     def test_random_commuting_families(self):
         rng = np.random.default_rng(9)
@@ -239,6 +254,19 @@ class TestDecideSharedDominant:
         for i in range(0, 200, 2):
             mid = 0.5 * (pts[i] + pts[i + 1])
             assert contains(K, mid).inside
+
+    def test_jordan_at_rho_raises_only_hypotheses_not_met(self):
+        # every draw has a cone, but a defective spectral radius is outside the
+        # route: no exception but HypothesesNotMet, and no witness the oracle rejects
+        rng = np.random.default_rng(1)
+        for i in range(200):
+            M = jordan_at_rho(rng, dim=3 + i % 3)
+            try:
+                d = decide_shared_dominant([M])
+            except HypothesesNotMet:
+                continue
+            if d.answer == "yes":
+                assert is_invariant(d.witness, M).invariant
 
     def test_normal_random_families(self):
         rng = np.random.default_rng(29)
