@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -41,19 +42,30 @@ DEFAULT_SEED = 1729
 SEED_ENV = "CONELAB_SEED"
 
 
+def _at_least(name, value, least):
+    if value < least:
+        raise SchemaError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 def _resolve_seed(arg_seed):
     if arg_seed is not None:
-        return int(arg_seed)
+        return _at_least("--seed", arg_seed, 0)
     env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SchemaError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise SchemaError(f"{SEED_ENV} must be an integer, got {env!r}") from exc
+    return _at_least(SEED_ENV, seed, 0)
 
 
 def _tol_from_args(args) -> ToleranceConfig:
+    for flag in ("eig_tol", "rank_tol", "geom_tol"):
+        value = getattr(args, flag)
+        if not (math.isfinite(value) and value > 0):
+            raise SchemaError(f"--{flag.replace('_', '-')} must be finite and positive, got {value}")
     return ToleranceConfig(args.eig_tol, args.rank_tol, args.geom_tol)
 
 
@@ -78,6 +90,7 @@ def _load_family(path) -> FamilyData:
 
 
 def cmd_classify(args) -> int:
+    _at_least("--wordlen", args.wordlen, 1)
     fd = _load_family(args.family)
     tol = _tol_from_args(args)
     labels = fd.labels or tuple(f"A{i}" for i in range(len(fd.matrices)))
@@ -115,6 +128,7 @@ def _route_auto(fd: FamilyData, tol, seed, bound, wordlen) -> Decision:
 
 
 def cmd_common(args) -> int:
+    _at_least("--bound", args.bound, 0)
     fd = _load_family(args.family)
     tol = _tol_from_args(args)
     seed = _resolve_seed(args.seed)
@@ -151,6 +165,7 @@ def cmd_common(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _at_least("--samples", args.samples, 0)
     fd = _load_family(args.family)
     tol = _tol_from_args(args)
     seed = _resolve_seed(args.seed)

@@ -2,11 +2,12 @@
 
 For a commuting family of diagonalizable matrices sharing a similarity S,
 the decision reduces to bookkeeping on the q x n table of eigenvalues: over
-all exponent tuples, collect the tie-broken index of the dominant diagonal
-block; a common invariant proper cone exists exactly when the collected rows
-of the table are entrywise nonnegative.  The constructive direction builds a
-polyhedral cone from the dominant real columns of S and closes it under the
-family up to a word-length bound, reporting a truncation defect.
+the exponent tuples, one exponent sum at a time, collect the tie-broken
+index of the dominant diagonal block; a common invariant proper cone exists
+exactly when the collected rows of the table are entrywise nonnegative.
+The constructive direction builds a polyhedral cone from the dominant real
+columns of S and closes it under the family up to a word-length bound,
+reporting a truncation defect.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     NonVandergraftProduct,
     NotDiagonalizable,
     PointednessCertificateFailed,
+    PreconditionFailed,
     RefinementFailed,
 )
 from .linalg import (
@@ -99,25 +101,27 @@ def _split_by_member(basis: np.ndarray, A: np.ndarray, tol: ToleranceConfig):
     return out
 
 
-def _joint_blocks(mats, seed_basis, tol: ToleranceConfig):
-    """Joint eigenvalue tuples and multiplicities inside one invariant subspace."""
-    blocks = [(seed_basis, ())]
+def _joint_tuples(mats, tol: ToleranceConfig):
+    """Joint eigenvalue tuples, one per joint eigenspace of the members."""
+    blocks = [(np.eye(mats[0].shape[0], dtype=complex), ())]
     for A in mats:
-        nxt = []
-        for basis, prefix in blocks:
-            for sub, lam in _split_by_member(basis, A, tol):
-                nxt.append((sub, prefix + (lam,)))
-        blocks = nxt
-    return [(tup, basis.shape[1]) for basis, tup in blocks]
+        blocks = [(sub, prefix + (lam,)) for basis, prefix in blocks
+                  for sub, lam in _split_by_member(basis, A, tol)]
+    return [tup for _, tup in blocks]
 
 
 def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> SimDiagForm:
-    """Shared diagonal form via a random positive witness combination.
+    """Joint diagonal form of a commuting family of diagonalizable members.
 
-    Draws up to eight seeded positive combinations, keeps the one with the
-    most distinct eigenvalues, refines its degenerate eigenspaces until every
-    member is diagonal, and merges columns into blocks of equal joint
-    eigenvalue tuples.  Eigenvalue comparisons are absolute: they assume
+    The whole space is split by each member's eigenvalues in turn, so the
+    blocks end as the joint eigenspaces, one per tuple of member eigenvalues;
+    every split keeps eigenvalues more than the clustering tolerance apart,
+    so no two tuples coincide.  A block's basis is the null space of the
+    stacked `A_j - lambda_j I`: real for a real tuple, the exact conjugate of
+    its partner's for a complex one.  The reference eigenvalues `b` are the
+    plain row sums of the table; only if two of them coincide are up to
+    eight positive combinations drawn from `seed`, so the form depends on
+    `seed` only then.  Eigenvalue comparisons are absolute: they assume
     members of unit norm, which `decide_simdiag` supplies.
     """
     if len(family) == 0:
@@ -131,47 +135,31 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
         spec = eigen_decompose(M, tol)
         if any(ev.degree > 1 for ev in spec.eigenvalues):
             raise NotDiagonalizable(f"member {j} is not diagonalizable")
-
-    rng = np.random.default_rng(seed)
-    draws = [rng.uniform(0.5, 1.5, size=len(mats)) for _ in range(_MAX_DRAWS)]
-
-    combos = [sum(cj * M for cj, M in zip(c, mats)) for c in draws]
-    counted = [len(distinct_eigenvalues(np.linalg.eigvals(B), tol.eig_cluster_tol * np.linalg.norm(B)))
-               for B in combos]
-    B0 = combos[int(np.argmax(counted))]
     cut = tol.eig_cluster_tol
-
-    # Split by the witness eigenspaces, refine into joint blocks, then merge
-    # equal tuples.
-    merged: list[list] = []
-    for tup, size in _joint_blocks([B0] + mats, np.eye(m, dtype=complex), tol):
-        tup = tup[1:]
-        hit = next((g for g in merged if all(abs(a - b) <= cut for a, b in zip(g[0], tup))), None)
-        if hit is None:
-            merged.append([tup, size])
-        else:
-            hit[1] += size
 
     def canon(z: complex) -> complex:
         re = 0.0 if abs(z.real) <= cut else z.real
         im = 0.0 if abs(z.imag) <= cut else z.imag
         return complex(re, im)
 
-    tuples = [tuple(canon(z) for z in tup) for tup, _ in merged]
+    tuples = [tuple(canon(z) for z in tup) for tup in _joint_tuples(mats, tol)]
     q = len(tuples)
 
     # Reference eigenvalues must be pairwise distinct.  The plain sum comes
-    # first because it does not depend on the member order; redraw if it fails.
-    b = None
-    chosen = None
-    for c in [np.ones(len(mats))] + draws:
+    # first because it does not depend on the member order; draw only if it fails.
+    def combinations():
+        yield np.ones(len(mats))
+        rng = np.random.default_rng(seed)
+        for _ in range(_MAX_DRAWS):
+            yield rng.uniform(0.5, 1.5, size=len(mats))
+
+    def separates(c) -> bool:
         cand = np.array([sum(cj * z for cj, z in zip(c, tup)) for tup in tuples])
-        ok = all(abs(cand[i] - cand[j]) > tol.eig_cluster_tol * float(np.max(np.abs(cand)))
-                 for i in range(q) for j in range(i + 1, q))
-        if ok:
-            b, chosen = cand, c
-            break
-    if b is None:
+        return all(abs(cand[i] - cand[j]) > cut * float(np.max(np.abs(cand)))
+                   for i in range(q) for j in range(i + 1, q))
+
+    chosen = next((c for c in combinations() if separates(c)), None)
+    if chosen is None:
         raise RefinementFailed("no drawn combination separates the joint blocks")
 
     # Canonical bases per block: real blocks from a real stacked nullspace,
@@ -220,107 +208,92 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     return form
 
 
-def _exponent_tuples(n: int, bound: int):
-    def comp(k, total):
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in comp(k - 1, total - first):
-                yield (first,) + rest
-
-    for total in range(bound + 1):
-        yield from comp(n, total)
-
-
-def _omega(form: SimDiagForm, exps, tol: ToleranceConfig):
-    """Indices where the diagonal product is real, nonnegative and of maximal modulus."""
-    with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(form.lambda_table))
-    phase = np.angle(form.lambda_table)
-    q = form.num_blocks
-    logs = np.zeros(q)
-    phases = np.zeros(q)
-    for j, mj in enumerate(exps):
-        if mj == 0:
-            continue
-        logs = logs + mj * logmag[:, j]
-        phases = phases + mj * phase[:, j]
-    maxv = float(np.max(logs))
-    if maxv == -np.inf:
-        top = np.ones(q, dtype=bool)
-    else:
-        top = logs >= maxv - tol.eig_cluster_tol * (1.0 + abs(maxv))
-    wrapped = np.abs((phases + np.pi) % (2.0 * np.pi) - np.pi)
-    real_nonneg = (wrapped <= 1e-8 * (1.0 + sum(exps))) | (logs == -np.inf)
-    return [int(i) for i in np.flatnonzero(top & real_nonneg)]
-
-
-def _tiebreak(form: SimDiagForm, omega, tol: ToleranceConfig):
-    """The index of the tie set whose reference eigenvalue equals the maximal
-    |b| over the tie set.  Falls back to the largest real part when no real
-    positive witness exists (possible only for families without a common
-    cone)."""
-    bs = form.b[omega]
-    target = float(np.max(np.abs(bs)))
-    eps = tol.eig_cluster_tol * target
-    for k, i in enumerate(omega):
-        if abs(bs[k].imag) <= eps and bs[k].real > 0 and abs(bs[k].real - target) <= eps:
-            return i, True
-    k = int(np.argmax(bs.real))
-    return omega[k], False
+def _exponent_rows(n: int, bound: int):
+    """For t = 0..bound, the array of all n-tuples of nonnegative exponents
+    with sum t, one tuple per row, in lexicographic order."""
+    parts: list[list[np.ndarray]] = [[] for _ in range(n)]  # parts[k][s]: (k + 1)-tuples of sum s
+    for t in range(bound + 1):
+        parts[0].append(np.array([[t]]))
+        for k in range(1, n):
+            parts[k].append(np.vstack([
+                np.column_stack([np.full(len(parts[k - 1][t - f]), f), parts[k - 1][t - f]])
+                for f in range(t + 1)
+            ]))
+        yield t, parts[-1][t]
 
 
 def dominant_index_set(form: SimDiagForm, bound: int = 8,
                        tol: ToleranceConfig = DEFAULT_TOL) -> DominantIndexSet:
-    """Union over exponent tuples (sum <= bound) of the tie-broken dominant block.
+    """The blocks elected dominant by some exponent tuple of sum <= bound.
 
-    `exact` is set when, additionally, a feasibility certificate over the
-    log-magnitude points shows no block outside the set can be weakly maximal
-    in any nonnegative direction (only available for strictly nonzero
-    spectra).  A non-Vandergraft product aborts the search at the end of its
-    exponent sum, so the partial set does not depend on the member order.
+    One exponent sum t at a time, the rows of E_t (that sum's tuples, in
+    lexicographic order) give the product's diagonal as `E_t @ log|L|^T`
+    and `E_t @ arg L^T` over the eigenvalue table L; a zero eigenvalue makes
+    a block's product zero exactly when its exponent is positive.  A tuple's
+    candidate set holds the blocks whose product is within the clustering
+    tolerance of the top modulus and real nonnegative (or zero).  The
+    elected block is the first candidate whose reference eigenvalue b is
+    real, positive and of maximal |b| over the candidates; failing that, the
+    candidate of largest Re b, with a note.  Each elected block's witness is
+    the first tuple that elected it.
+
+    A tuple with no candidate is a non-Vandergraft product: the search ends
+    with the sum it belongs to and raises `NonVandergraftProduct` carrying
+    the first such tuple and the partial set, which do not depend on the
+    member order.  Otherwise `exact` is set when an LP over the log-moduli
+    certifies that no block outside the set is weakly maximal in any
+    nonnegative direction (only for spectra without zero eigenvalues).
     """
-    indices: set[int] = set()
+    if bound < 0:
+        raise PreconditionFailed(f"the exponent-sum bound must be nonnegative, got {bound}")
+    L = form.lambda_table
+    zero = (L == 0).T
+    with np.errstate(divide="ignore"):
+        logmag = np.where(zero, 0.0, np.log(np.abs(L)).T)
+    phase = np.angle(L).T
+    b = form.b
     witnesses: dict[int, tuple[int, ...]] = {}
     notes: list[str] = []
     failed = None
-    for exps in _exponent_tuples(form.family_size, bound):
-        if failed is not None and sum(exps) > sum(failed):
+    for t, E in _exponent_rows(form.family_size, bound):
+        logs = np.where(E @ zero > 0, -np.inf, E @ logmag)
+        maxv = logs.max(axis=1, keepdims=True)
+        top = logs >= maxv - tol.eig_cluster_tol * (1.0 + np.abs(maxv))  # all blocks when maxv = -inf
+        wrapped = np.abs((E @ phase + np.pi) % (2.0 * np.pi) - np.pi)
+        omega = top & ((wrapped <= 1e-8 * (1.0 + t)) | (logs == -np.inf))
+
+        target = np.where(omega, np.abs(b), -np.inf).max(axis=1, keepdims=True)
+        eps = tol.eig_cluster_tol * target
+        strict = omega & (np.abs(b.imag) <= eps) & (b.real > 0) & (np.abs(b.real - target) <= eps)
+        has_strict = strict.any(axis=1)
+        pick = np.where(has_strict, strict.argmax(axis=1),
+                        np.where(omega, b.real, -np.inf).argmax(axis=1))
+        elected = omega.any(axis=1)
+        for r in np.flatnonzero(elected & ~has_strict):
+            notes.append(f"tie-break fallback (largest real part) at exponents {tuple(E[r].tolist())}")
+        rows = np.flatnonzero(elected)
+        _, first = np.unique(pick[rows], return_index=True)
+        for r in np.sort(rows[first]):
+            witnesses.setdefault(int(pick[r]), tuple(E[r].tolist()))
+        if not elected.all():
+            failed = tuple(E[np.argmin(elected)].tolist())
             break
-        omega = _omega(form, exps, tol)
-        if not omega:
-            failed = failed or exps
-            continue
-        p, strict_rule = _tiebreak(form, omega, tol)
-        if not strict_rule:
-            notes.append(f"tie-break fallback (largest real part) at exponents {tuple(exps)}")
-        if p not in indices:
-            indices.add(p)
-            witnesses[p] = tuple(exps)
+    indices = set(witnesses)
     if failed is not None:
         partial = DominantIndexSet(frozenset(indices), witnesses, bound, False,
-                                   tuple(notes) + (f"aborted at non-Vandergraft tuple {tuple(failed)}",))
+                                   tuple(notes) + (f"aborted at non-Vandergraft tuple {failed}",))
         raise NonVandergraftProduct(failed, partial=partial)
 
-    exact = False
-    if np.all(np.abs(form.lambda_table) > 0):
-        logs = np.log(np.abs(form.lambda_table))
-        weakly_maximal = set()
-        n = form.family_size
-        for i in range(form.num_blocks):
-            others = [k for k in range(form.num_blocks) if k != i]
-            if not others:
-                weakly_maximal.add(i)
-                continue
-            A_ub = logs[others] - logs[i]
-            res = linprog(np.zeros(n), A_ub=A_ub, b_ub=np.full(len(others), 1e-9),
-                          A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None), method="highs")
-            if res.status == 0:
-                weakly_maximal.add(i)
-        exact = weakly_maximal <= indices
-    else:
+    if zero.any():
         notes.append("zero eigenvalues present; completeness certificate unavailable")
+        return DominantIndexSet(frozenset(indices), witnesses, bound, False, tuple(notes))
+    # A block outside the set is weakly maximal in some direction c >= 0,
+    # sum(c) = 1, exactly when its LP is feasible; one such block refutes `exact`.
+    logs, n = np.log(np.abs(L)), form.family_size
+    exact = not any(
+        linprog(np.zeros(n), A_ub=np.delete(logs, i, axis=0) - logs[i], b_ub=np.full(len(logs) - 1, 1e-9),
+                A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None), method="highs").status == 0
+        for i in range(form.num_blocks) if i not in indices)
     return DominantIndexSet(frozenset(indices), witnesses, bound, exact, tuple(notes))
 
 

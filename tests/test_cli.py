@@ -159,6 +159,50 @@ class TestDeterminism:
         assert "decision: yes" in out.read_text()
 
 
+class TestOptionRanges:
+    """An out-of-range option is malformed input (exit 2) that names the
+    option, never a traceback or a verdict."""
+
+    @pytest.fixture
+    def diag3(self, tmp_path):
+        path = tmp_path / "diag3.json"
+        mats = [np.diag([3.0, 2.0, 1.0]).tolist(), np.diag([2.0, 1.0, 1.5]).tolist()]
+        path.write_text(json.dumps({"dimension": 3, "matrices": mats}))
+        return str(path)
+
+    @pytest.mark.parametrize("flag", ["--eig-tol", "--rank-tol", "--geom-tol"])
+    @pytest.mark.parametrize("value", ["0", "-1e-8", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, diag3, tmp_path, capsys, flag, value):
+        assert main(["common", diag3, f"{flag}={value}", "--out", str(tmp_path / "d.json")]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_negative_bound(self, emit, tmp_path, capsys):
+        # the 2x2 route has no exponent search, but the option is still checked
+        assert main(["common", emit("diag_pair"), "--bound=-1", "--out", str(tmp_path / "d.json")]) == 2
+        assert "--bound" in capsys.readouterr().err
+
+    def test_negative_samples(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 2, "matrices": [[[1, 0], [0, 1]]]}))
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"type": "polyhedral", "dim": 2, "generators": [[1, 0], [0, 1]]}))
+        assert main(["verify", str(fam), str(cone), "--samples=-1"]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_negative_seed(self, diag3, tmp_path, capsys):
+        assert main(["common", diag3, "--seed=-5", "--out", str(tmp_path / "d.json")]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_negative_seed_env(self, diag3, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONELAB_SEED", "-5")
+        assert main(["common", diag3, "--out", str(tmp_path / "d.json")]) == 2
+        assert "CONELAB_SEED" in capsys.readouterr().err
+
+    def test_wordlen_below_one(self, diag3, capsys):
+        assert main(["classify", diag3, "--wordlen", "0"]) == 2
+        assert "--wordlen" in capsys.readouterr().err
+
+
 class TestRouting:
     def _rotation_family(self):
         out = []

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from _gen import commuting_diag_2x2
+from _gen import commuting_diag_2x2, contractive_commuting_blocks
 from conelab.cones import contains, is_invariant, is_proper
-from conelab.errors import NonVandergraftProduct, NotCommuting, NotDiagonalizable
+from conelab.errors import NonVandergraftProduct, NotCommuting, NotDiagonalizable, PreconditionFailed
 from conelab.fixtures import ex7_5
+from conelab.linalg import DEFAULT_TOL, unit_members
 from conelab.planar import decide_common_2x2
 from conelab.simdiag import (
     construct_simdiag_cone,
@@ -16,6 +20,60 @@ from conelab.simdiag import (
 
 def table_rows(form):
     return {tuple(np.round(row, 8)) for row in form.lambda_table}
+
+
+def reference_dominant_set(form, bound, tol=DEFAULT_TOL):
+    """The dominant-block rule stated one exponent tuple at a time.
+
+    Returns (indices, witnesses, notes, exact, failed tuple or None).
+    """
+    L, b, eps_rel = form.lambda_table, form.b, tol.eig_cluster_tol
+    witnesses, notes, failed = {}, [], None
+    for t in range(bound + 1):
+        for exps in sorted(e for e in itertools.product(range(t + 1), repeat=form.family_size) if sum(e) == t):
+            logs, phases = np.zeros(form.num_blocks), np.zeros(form.num_blocks)
+            for j, e in enumerate(exps):
+                if e:  # a zero exponent contributes nothing, even on a zero eigenvalue
+                    with np.errstate(divide="ignore"):
+                        logs = logs + e * np.log(np.abs(L[:, j]))
+                    phases = phases + e * np.angle(L[:, j])
+            top = logs.max()
+            wrapped = np.abs((phases + np.pi) % (2 * np.pi) - np.pi)
+            omega = [i for i in range(form.num_blocks)
+                     if (top == -np.inf or logs[i] >= top - eps_rel * (1 + abs(top)))
+                     and (wrapped[i] <= 1e-8 * (1 + t) or logs[i] == -np.inf)]
+            if not omega:
+                failed = failed or exps
+                continue
+            target = max(abs(b[i]) for i in omega)
+            strict = [i for i in omega if abs(b[i].imag) <= eps_rel * target and b[i].real > 0
+                      and abs(b[i].real - target) <= eps_rel * target]
+            if not strict:
+                notes.append(f"tie-break fallback (largest real part) at exponents {exps}")
+            p = strict[0] if strict else max(omega, key=lambda i: (b[i].real, -i))
+            witnesses.setdefault(p, exps)
+        if failed:
+            return set(witnesses), witnesses, notes + [f"aborted at non-Vandergraft tuple {failed}"], False, failed
+    if np.any(L == 0):
+        return set(witnesses), witnesses, notes + ["zero eigenvalues present; completeness certificate unavailable"], False, None
+    logs, n = np.log(np.abs(L)), form.family_size
+    maximal = {i for i in range(form.num_blocks) if form.num_blocks == 1 or linprog(
+        np.zeros(n), A_ub=np.delete(logs, i, axis=0) - logs[i], b_ub=np.full(form.num_blocks - 1, 1e-9),
+        A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None), method="highs").status == 0}
+    return set(witnesses), witnesses, notes, maximal <= set(witnesses), None
+
+
+def reference_forms():
+    rng = np.random.default_rng(2024)
+    families = [commuting_diag_2x2(rng, size=2 + s % 2) for s in range(25)]
+    families += [contractive_commuting_blocks(np.random.default_rng(s), 3 + s % 3, 2 + s % 2) for s in range(25)]
+    for s in range(15):  # diagonal families with zero and sign-paired eigenvalues
+        count, dim = 2 + s % 2, 2 + s % 3
+        signs = rng.choice([-1.0, 0.0, 1.0], size=(count, dim))
+        families.append([np.diag(row * rng.choice([0.5, 1.0, 2.0], size=dim)) for row in signs])
+    families += [[np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])], [np.diag([2.0, 0.0])],
+                 [np.diag([0.0, 1.0, -1.0]), np.diag([1.0, 0.0, 0.0])]]
+    return [simultaneous_diagonalize(unit_members(fam)) for fam in families]
 
 
 class TestSimultaneousDiagonalize:
@@ -63,6 +121,16 @@ class TestSimultaneousDiagonalize:
         for i, p in enumerate(form.conj_partner):
             if p is not None:
                 assert np.allclose(form.lambda_table[i], np.conj(form.lambda_table[p]))
+
+    def test_seed_only_matters_when_the_plain_sum_fails(self):
+        for s in range(30):
+            fam = contractive_commuting_blocks(np.random.default_rng(s), 3 + s % 3, 2 + s % 2)
+            forms = [simultaneous_diagonalize(unit_members(fam), seed=seed) for seed in range(4)]
+            assert np.array_equal(forms[0].b, forms[0].lambda_table.sum(axis=1))
+            for other in forms[1:]:
+                assert np.array_equal(other.S, forms[0].S)
+                assert np.array_equal(other.lambda_table, forms[0].lambda_table)
+                assert np.array_equal(other.b, forms[0].b)
 
     def test_not_commuting(self):
         with pytest.raises(NotCommuting):
@@ -117,6 +185,32 @@ class TestDominantIndexSet:
         ds = dominant_index_set(form)
         assert not ds.exact
         assert ds.indices  # index of the nonzero block is still found
+
+
+    def test_negative_bound_rejected(self):
+        form = simultaneous_diagonalize([np.diag([2.0, 1.0])])
+        with pytest.raises(PreconditionFailed):
+            dominant_index_set(form, bound=-1)
+
+    def test_matches_per_tuple_reference(self):
+        forms = reference_forms()
+        aborts = 0
+        for form in forms:
+            for bound in (0, 2, 8):
+                indices, witnesses, notes, exact, failed = reference_dominant_set(form, bound)
+                if failed is None:
+                    ds = dominant_index_set(form, bound)
+                else:
+                    aborts += 1
+                    with pytest.raises(NonVandergraftProduct) as err:
+                        dominant_index_set(form, bound)
+                    assert err.value.exponents == failed
+                    ds = err.value.partial
+                assert ds.indices == indices
+                assert ds.witnesses == witnesses
+                assert list(ds.notes) == notes
+                assert ds.exact == exact
+        assert 0 < aborts < 3 * len(forms)
 
 
 class TestDecideSimdiag:
