@@ -129,6 +129,7 @@ def _route_auto(fd: FamilyData, tol, seed, bound, wordlen) -> Decision:
 
 def cmd_common(args) -> int:
     _at_least("--bound", args.bound, 0)
+    _at_least("--wordlen", args.wordlen, 1)
     fd = _load_family(args.family)
     tol = _tol_from_args(args)
     seed = _resolve_seed(args.seed)

@@ -157,10 +157,6 @@ def nnls_distance(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.linalg.norm(A @ x - b)), x
 
 
-def _nnls_distance(K: PolyhedralCone, v: np.ndarray) -> tuple[float, np.ndarray]:
-    return nnls_distance(K.generators.T, v)
-
-
 def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig,
                            want_interior: bool = True) -> MembershipResult:
     nv = _norm(v)
@@ -169,7 +165,7 @@ def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfi
     # Membership in a cone is scale-invariant; working on the unit vector
     # keeps flags independent of the input scale.
     u = v / nv
-    udist, _ = _nnls_distance(K, u)
+    udist, _ = nnls_distance(K.generators.T, u)
     inside = udist <= tol.geom_tol
     interior = False
     if want_interior and inside and matrix_rank(K.generators, tol.rank_tol) == K.dim:
@@ -178,7 +174,7 @@ def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfi
         # characterization of conic interiors.
         g = unit(K.generators.sum(axis=0))
         probe = u - _INTERIOR_PROBE_FACTOR * tol.geom_tol * g
-        pdist, _ = _nnls_distance(K, probe)
+        pdist, _ = nnls_distance(K.generators.T, probe)
         interior = pdist <= tol.geom_tol * np.linalg.norm(probe)
     return MembershipResult(bool(inside), udist * nv, bool(interior))
 
@@ -293,7 +289,7 @@ def prune_generators(K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_TOL) -> P
     while i < len(rows) and len(rows) > 1:
         rest = rows[:i] + rows[i + 1:]
         sub = PolyhedralCone(K.dim, np.array(rest))
-        dist, _ = _nnls_distance(sub, rows[i])
+        dist, _ = nnls_distance(sub.generators.T, rows[i])
         if dist <= tol.geom_tol:
             rows.pop(i)
         else:

@@ -5,6 +5,10 @@ radius is an eigenvalue whose degree (multiplicity as a root of the minimal
 polynomial) dominates the degree of every other eigenvalue of the same
 modulus.  Matrices passing this test are called Vandergraft matrices; every
 decision procedure in this package starts from this classification.
+
+Every matrix size takes one path: LAPACK's eigenvalues, one clusterer and
+relative rank tests, with every cut scaled by a norm that neither overflows
+nor underflows.  The package's one 2x2 closed form is `planar.classify2`.
 """
 
 from __future__ import annotations
@@ -184,7 +188,7 @@ def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceCon
     if multiplicity == 1:
         return 1
     M = A.astype(complex) - lam * np.eye(A.shape[0])
-    if np.linalg.norm(M) <= tol.eig_cluster_tol * np.linalg.norm(A):
+    if _norm(M) <= tol.eig_cluster_tol * _norm(A):
         return 1  # A is lam I up to rounding, which a relative rank would not see
     power = M
     r_prev = matrix_rank(power, tol.rank_tol)
@@ -197,58 +201,15 @@ def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceCon
     return multiplicity
 
 
-def _eig_values_2x2(A: np.ndarray) -> np.ndarray:
-    t = A[0, 0] + A[1, 1]
-    d = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    disc = complex(t * t - 4.0 * d)
-    root = np.sqrt(disc)
-    return np.array([(t + root) / 2.0, (t - root) / 2.0])
-
-
-def _eigvec_2x2(A: np.ndarray, lam: float) -> np.ndarray:
-    r1 = np.array([A[0, 1], lam - A[0, 0]])
-    r2 = np.array([lam - A[1, 1], A[1, 0]])
-    v = r1 if r1 @ r1 >= r2 @ r2 else r2
-    n = np.sqrt(v @ v)
-    if n == 0.0:  # A = lam I: every vector is an eigenvector
-        return np.array([1.0, 0.0])
-    return fix_sign(v / n)
-
-
-def _spectrum_2x2(M: np.ndarray, tol: ToleranceConfig) -> Spectrum:
-    values = _eig_values_2x2(M)
-    rho = float(np.max(np.abs(values)))
-    cut = tol.eig_cluster_tol * rho
-    if abs(values[0] - values[1]) <= cut:
-        v = complex(np.mean(values))
-        if abs(v.imag) <= cut:
-            v = complex(v.real, 0.0)
-        scalar = np.linalg.norm(M - v.real * np.eye(2)) <= tol.eig_cluster_tol * np.linalg.norm(M)
-        if v.imag == 0.0:
-            vecs = np.eye(2) if scalar else _eigvec_2x2(M, v.real).reshape(2, 1)
-        else:
-            vecs = None
-        ev = EigenValue(v, 2, 1 if scalar else 2, vecs)
-        return Spectrum(2, (ev,), rho)
-    out = []
-    for v in values:
-        if abs(v.imag) <= cut:
-            lam = float(v.real)
-            out.append(EigenValue(complex(lam), 1, 1, _eigvec_2x2(M, lam).reshape(2, 1)))
-        else:
-            out.append(EigenValue(complex(v), 1, 1, None))
-    out.sort(key=lambda ev: (-abs(ev.value), -ev.value.real, ev.value.imag))
-    return Spectrum(2, tuple(out), rho)
-
-
 def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     """Clustered eigenvalues, degrees and real eigenspaces of a real matrix.
 
-    Uses the closed-form quadratic for n = 2 and LAPACK's Hessenberg +
-    shifted-QR driver otherwise.  Eigenvalues are grouped by their nearest
-    `distinct_eigenvalues` representative at cut eig_cluster_tol * ||A||, the
-    scale of their rounding errors (not rho: a 2x2 Jordan block splits by
-    about sqrt(eps) ||A||), and closed exactly under conjugation.
+    Every size takes LAPACK's Hessenberg + shifted-QR driver, the same
+    clustering and the same rank tests.  Eigenvalues are grouped by their
+    nearest `distinct_eigenvalues` representative at cut
+    eig_cluster_tol * ||A||, the scale of their rounding errors (not rho: a
+    2x2 Jordan block splits by about sqrt(eps) ||A||), and closed exactly
+    under conjugation.
     Eigenspaces keep the singular values of A - lam I up to the same cut.
     """
     M = as_square_matrix(A)
@@ -256,18 +217,12 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     if n > MAX_DIM:
         raise DimensionTooLarge(f"n = {n} exceeds the supported cap {MAX_DIM}")
 
-    if n == 1:
-        lam = float(M[0, 0])
-        ev = EigenValue(complex(lam), 1, 1, np.array([[1.0]]))
-        return Spectrum(1, (ev,), abs(lam))
-    if n == 2:
-        return _spectrum_2x2(M, tol)
     try:
         values = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(str(exc)) from exc
 
-    cut = tol.eig_cluster_tol * np.linalg.norm(M)
+    cut = tol.eig_cluster_tol * _norm(M)
     centers = distinct_eigenvalues(values, cut)
     nearest = np.argmin(np.abs(values[:, None] - np.array(centers)[None, :]), axis=1)
 
@@ -314,30 +269,10 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
 def is_vandergraft(A, tol: ToleranceConfig = DEFAULT_TOL) -> VandergraftReport:
     """Spectral test for existence of an invariant proper cone.
 
-    For 2x2 inputs the equivalent closed form is used: real spectrum
-    (trace^2 >= 4 det) together with trace >= 0.
+    One path for every size: the spectral radius must be an eigenvalue whose
+    degree is at least that of every other eigenvalue of the same modulus.
     """
-    M = as_square_matrix(A)
-    n = M.shape[0]
-    spec = eigen_decompose(M, tol)
-
-    if n == 2:
-        t = float(M[0, 0] + M[1, 1])
-        d = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-        s = float(np.linalg.norm(M))
-        ok = (t >= -tol.eig_cluster_tol * s) and (t * t - 4.0 * d >= -tol.eig_cluster_tol * s * s)
-        if not ok:
-            return VandergraftReport(False, None, None, "rho-not-eigenvalue", spec)
-        dom = spec.dominant(tol)
-        if dom is None:
-            # Closed form and clustering disagree only inside the tolerance
-            # shell; fall back to the nearest real eigenvalue of maximal value.
-            real = [ev for ev in spec.eigenvalues if ev.is_real]
-            dom = max(real, key=lambda ev: ev.value.real) if real else None
-        if dom is None:
-            return VandergraftReport(False, None, None, "rho-not-eigenvalue", spec)
-        return VandergraftReport(True, float(dom.value.real), dom.eigenvectors, None, spec)
-
+    spec = eigen_decompose(A, tol)
     dom = spec.dominant(tol)
     if dom is None:
         return VandergraftReport(False, None, None, "rho-not-eigenvalue", spec)

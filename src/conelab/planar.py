@@ -26,7 +26,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, _eigvec_2x2, as_square_matrix, unit_members
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, fix_sign, unit_members
 
 KIND_DIAG = "DiagNonneg"
 KIND_NONDIAG = "NonDiag"
@@ -69,6 +69,18 @@ def _angles_equal(a: float, b: float, tol: float) -> bool:
 
 def _dir(angle: float) -> np.ndarray:
     return np.array([np.cos(angle), np.sin(angle)])
+
+
+def _eigvec_2x2(A: np.ndarray, lam: float) -> np.ndarray:
+    """Unit eigenvector of a 2x2 A for the real eigenvalue lam, from the
+    larger row of A - lam I."""
+    r1 = np.array([A[0, 1], lam - A[0, 0]])
+    r2 = np.array([lam - A[1, 1], A[1, 0]])
+    v = r1 if r1 @ r1 >= r2 @ r2 else r2
+    n = np.sqrt(v @ v)
+    if n == 0.0:  # A = lam I: every vector is an eigenvector
+        return np.array([1.0, 0.0])
+    return fix_sign(v / n)
 
 
 def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:

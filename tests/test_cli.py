@@ -202,6 +202,11 @@ class TestOptionRanges:
         assert main(["classify", diag3, "--wordlen", "0"]) == 2
         assert "--wordlen" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_common_wordlen_below_one(self, diag3, tmp_path, capsys, value):
+        assert main(["common", diag3, f"--wordlen={value}", "--out", str(tmp_path / "d.json")]) == 2
+        assert "--wordlen" in capsys.readouterr().err
+
 
 class TestRouting:
     def _rotation_family(self):
@@ -297,6 +302,19 @@ class TestRouting:
         assert "deflate" not in decompositions
         assert main(["common", str(fam), "--method", "simdiag", "--reproducible",
                      "--out", str(dec)]) == 3
+
+    def test_commuting_2x2_jordan_pair_is_not_a_no(self, tmp_path):
+        # both members are T [[1, nu], [0, 1]] T^-1 for T = [[-3, -3], [-3, -2]]
+        # and nu = 1, 1/2, so the 2x2 route finds a common cone; scaling to
+        # unit norm rounds each block apart, which must not read as a NO
+        mats = [[[4.0, -3.0], [3.0, -2.0]], [[2.5, -1.5], [1.5, -0.5]]]
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 2, "matrices": mats}))
+        dec = tmp_path / "d.json"
+        assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 0
+        assert main(["common", str(fam), "--method", "shared-dominant", "--reproducible",
+                     "--out", str(dec)]) == 3
+        assert json.loads(dec.read_text())["route"] == "shared-dominant"
 
 
 def test_console_entry_point():

@@ -10,6 +10,7 @@ from conelab.linalg import (
     enumerate_words,
     is_vandergraft,
 )
+from conelab.planar import KIND_NOT, classify2
 
 
 def eig_map(spectrum):
@@ -104,18 +105,33 @@ class TestVandergraft:
         assert is_vandergraft([[0, 1], [0, 0]]).is_vandergraft
 
     def test_closed_form_agrees_with_spectral_test(self):
-        # the 2x2 decision must match the generic spectral path
+        # planar.classify2, the package's one 2x2 closed form, must match the
+        # spectral path that every size takes
         rng = np.random.default_rng(7)
         tol = DEFAULT_TOL
         for _ in range(10_000):
             A = rng.normal(size=(2, 2)) * rng.choice([0.5, 1.0, 3.0])
-            rep = is_vandergraft(A, tol)
-            spec = rep.spectrum
-            dom = spec.dominant(tol)
-            spectral = dom is not None and all(
-                ev.degree <= dom.degree for ev in spec.peripheral(tol)
-            )
-            assert rep.is_vandergraft == spectral, A
+            assert is_vandergraft(A, tol).is_vandergraft == (classify2(A, tol).kind != KIND_NOT), A
+
+    def test_huge_jordan_block_2x2(self):
+        # trace^2 - 4 det overflows to inf - inf at this scale
+        rep = is_vandergraft(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert rep.is_vandergraft
+        assert rep.dominant_eigenvalue == pytest.approx(1e200)
+
+    def test_rounded_jordan_block_2x2(self):
+        # T J T^-1 for T = [[-3, -2], [-1, -1]] and J = [[1, 1], [0, 1]], as
+        # rounded in double precision: its computed eigenvalues are the
+        # complex pair 1 +- 3.8e-8 i, within rounding of ||A|| of each other
+        A = np.array([[-1.9999999999999998, 9.0], [-0.9999999999999998, 3.9999999999999996]])
+        rep = is_vandergraft(A)
+        assert rep.is_vandergraft
+        assert rep.dominant_eigenvalue == pytest.approx(1.0)
+
+    def test_rotation_at_huge_scale(self):
+        # a plain norm overflows above ~1e154 and would make every cut infinite
+        A = 1e160 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        assert is_vandergraft(A).failed_condition == "rho-not-eigenvalue"
 
     def test_jordan_block_at_radius_split_into_reals(self):
         # rounding may split the block into two real eigenvalues that cluster
