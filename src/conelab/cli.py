@@ -8,6 +8,7 @@ command succeeded), 1 = provably none exists (or verification failed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -220,7 +221,9 @@ def cmd_plot(args) -> int:
     return EXIT_YES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="conelab",
                                  description="Common invariant proper cones for matrix families.")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -6,9 +6,10 @@ polynomial) dominates the degree of every other eigenvalue of the same
 modulus.  Matrices passing this test are called Vandergraft matrices; every
 decision procedure in this package starts from this classification.
 
-Every matrix size takes one path: LAPACK's eigenvalues, one clusterer and
-relative rank tests, with every cut scaled by a norm that neither overflows
-nor underflows.  The package's one 2x2 closed form is `planar.classify2`.
+Every matrix size takes one path: LAPACK's eigenvalues, relative rank tests
+and `eigenvalue_clusters`, the only code in the package that groups computed
+eigenvalues.  Every cut is scaled by a norm that neither overflows nor
+underflows.  The package's one 2x2 closed form is `planar.classify2`.
 """
 
 from __future__ import annotations
@@ -122,17 +123,24 @@ def check_commuting(mats, tol: ToleranceConfig) -> None:
                 raise NotCommuting(f"members {i} and {j} do not commute (defect {defect:.3e})")
 
 
-def distinct_eigenvalues(values, cut: float) -> list[complex]:
-    """Greedy representatives of computed eigenvalues, in (real, imag) order.
+def eigenvalue_clusters(values, cut: float) -> list[tuple[complex, int]]:
+    """(mean, size) of each cluster of computed eigenvalues, the package's one grouping.
 
-    A value joins the first representative within `cut`, which the caller
-    scales by the norm of the matrix the values belong to.
+    Representatives are greedy, in (real, imag) order: a value starts a new
+    one unless it lies within `cut` of an earlier one.  Every value then joins
+    its nearest representative, so each value counts once.  The caller scales
+    `cut` by the norm of the matrix the values belong to.
     """
+    values = np.asarray(values, dtype=complex).ravel()
     reps: list[complex] = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
         if not any(abs(v - r) <= cut for r in reps):
-            reps.append(complex(v))
-    return reps
+            reps.append(v)
+    k = len(reps)
+    nearest = np.argmin(np.abs(values[:, None] - np.array(reps)[None, :]), axis=1)
+    sizes = np.bincount(nearest, minlength=k)
+    means = (np.bincount(nearest, values.real, k) + 1j * np.bincount(nearest, values.imag, k)) / sizes
+    return [(complex(z), int(m)) for z, m in zip(means, sizes)]
 
 
 @dataclass(frozen=True)
@@ -204,13 +212,15 @@ def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceCon
 def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     """Clustered eigenvalues, degrees and real eigenspaces of a real matrix.
 
-    Every size takes LAPACK's Hessenberg + shifted-QR driver, the same
-    clustering and the same rank tests.  Eigenvalues are grouped by their
-    nearest `distinct_eigenvalues` representative at cut
-    eig_cluster_tol * ||A||, the scale of their rounding errors (not rho: a
-    2x2 Jordan block splits by about sqrt(eps) ||A||), and closed exactly
-    under conjugation.
-    Eigenspaces keep the singular values of A - lam I up to the same cut.
+    Every size takes LAPACK's Hessenberg + shifted-QR driver, which returns
+    complex eigenvalues as exact conjugate pairs.  The cut is
+    eig_cluster_tol * ||A||, the scale of rounding errors (not rho: a 2x2
+    Jordan block splits by about sqrt(eps) ||A||).  Imaginary parts within the
+    cut are zeroed first, so every complex value lies more than the cut from
+    every real one; the closed upper half-plane is then clustered once by
+    `eigenvalue_clusters`, and each complex cluster's conjugate is appended
+    with the same multiplicity and degree.  Eigenspaces keep the singular
+    values of A - lam I up to the same cut.
     """
     M = as_square_matrix(A)
     n = M.shape[0]
@@ -223,44 +233,17 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
         raise NonConvergence(str(exc)) from exc
 
     cut = tol.eig_cluster_tol * _norm(M)
-    centers = distinct_eigenvalues(values, cut)
-    nearest = np.argmin(np.abs(values[:, None] - np.array(centers)[None, :]), axis=1)
-
-    # Group means as representatives; zero-out imaginary parts below the cut.
-    reps: list[complex] = []
-    mults: list[int] = []
-    for k in range(len(centers)):
-        group = values[nearest == k]
-        v = complex(np.mean(group))
-        if abs(v.imag) <= cut:
-            v = complex(v.real, 0.0)
-        reps.append(v)
-        mults.append(len(group))
-
-    # Enforce exact conjugate pairing on the representatives.
-    for i, v in enumerate(reps):
-        if v.imag > 0:
-            j = min(
-                (k for k, w in enumerate(reps) if w.imag < 0),
-                key=lambda k: abs(np.conj(v) - reps[k]),
-                default=None,
-            )
-            if j is not None:
-                merged = (v + np.conj(reps[j])) / 2.0
-                reps[i] = merged
-                reps[j] = np.conj(merged)
-
+    values = np.where(np.abs(values.imag) <= cut, values.real, values)
     eigenvalues = []
-    for v, m in zip(reps, mults):
+    for v, m in eigenvalue_clusters(values[values.imag >= 0], cut):
         deg = _degree_of(M, v, m, tol)
-        vecs = None
-        if v.imag == 0.0:
-            basis = nullspace(M - v.real * np.eye(n), cut)
-            basis = np.real(basis)
-            if basis.shape[1]:
-                basis = np.column_stack([fix_sign(basis[:, k]) for k in range(basis.shape[1])])
-            vecs = basis
-        eigenvalues.append(EigenValue(v, m, deg, vecs))
+        if v.imag:
+            eigenvalues += [EigenValue(v, m, deg, None), EigenValue(v.conjugate(), m, deg, None)]
+            continue
+        basis = np.real(nullspace(M - v.real * np.eye(n), cut))
+        if basis.shape[1]:
+            basis = np.column_stack([fix_sign(basis[:, k]) for k in range(basis.shape[1])])
+        eigenvalues.append(EigenValue(v, m, deg, basis))
 
     eigenvalues.sort(key=lambda ev: (-abs(ev.value), -ev.value.real, ev.value.imag))
     return Spectrum(n, tuple(eigenvalues), abs(eigenvalues[0].value))

@@ -43,8 +43,8 @@ from .linalg import (
     ToleranceConfig,
     as_square_matrix,
     check_commuting,
-    distinct_eigenvalues,
     eigen_decompose,
+    eigenvalue_clusters,
     fix_sign,
     is_vandergraft,
     nullspace,
@@ -259,12 +259,9 @@ def _lyapunov_complex(mats, tol) -> np.ndarray:
 
     j_star = next(i for i, r in enumerate(rhos) if r >= 1.0 - _UNIT_BAND)
     A = mats[j_star]
-    values = np.linalg.eigvals(A)
     cut = tol.eig_cluster_tol * np.linalg.norm(A)
-    reps = distinct_eigenvalues(values, cut)
     bases, kinds = [], []
-    for lam in reps:
-        mult = int(np.sum(np.abs(values - lam) <= cut))
+    for lam, mult in eigenvalue_clusters(np.linalg.eigvals(A), cut):
         P = np.linalg.matrix_power(A - lam * np.eye(m), mult)
         bases.append(nullspace(P, tol.rank_tol * np.linalg.norm(A) ** mult))
         kinds.append(abs(lam) >= 1.0 - _UNIT_BAND)

@@ -35,8 +35,8 @@ from .linalg import (
     ToleranceConfig,
     as_square_matrix,
     check_commuting,
-    distinct_eigenvalues,
     eigen_decompose,
+    eigenvalue_clusters,
     nullspace,
     unit_members,
 )
@@ -88,11 +88,11 @@ def _split_by_member(basis: np.ndarray, A: np.ndarray, tol: ToleranceConfig):
     """Split an A-invariant subspace (orthonormal complex basis) by A's eigenvalues."""
     R = basis.conj().T @ (A @ basis)
     cut = tol.eig_cluster_tol * np.linalg.norm(A)
-    reps = distinct_eigenvalues(np.linalg.eigvals(R), cut)
-    if len(reps) == 1:
-        return [(basis, reps[0])]
+    clusters = eigenvalue_clusters(np.linalg.eigvals(R), cut)
+    if len(clusters) == 1:
+        return [(basis, clusters[0][0])]
     out = []
-    for lam in reps:
+    for lam, _ in clusters:
         ns = nullspace(R - lam * np.eye(R.shape[0]), cut)
         if ns.shape[1] == 0:
             raise RefinementFailed("lost an eigenspace while refining a joint block")

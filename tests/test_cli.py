@@ -138,6 +138,16 @@ class TestDeterminism:
         main(["common", fam, "--reproducible", "--out", str(tmp_path / "d.json")])
         assert json.loads((tmp_path / "d.json").read_text())["seed"] == 421
 
+    def test_seed_does_not_carry_over_between_calls(self, emit, tmp_path, monkeypatch):
+        # one parser serves every call in a process; a later call without
+        # --seed must still get the default
+        fam = emit("diag_pair")
+        monkeypatch.delenv("CONELAB_SEED", raising=False)
+        main(["common", fam, "--seed", "5", "--reproducible", "--out", str(tmp_path / "a.json")])
+        main(["common", fam, "--reproducible", "--out", str(tmp_path / "b.json")])
+        assert json.loads((tmp_path / "a.json").read_text())["seed"] == 5
+        assert json.loads((tmp_path / "b.json").read_text())["seed"] == 1729
+
     def test_plot_bytes_deterministic(self, emit, tmp_path):
         fam = emit("ex7_2")
         svgs = []
@@ -302,6 +312,26 @@ class TestRouting:
         assert "deflate" not in decompositions
         assert main(["common", str(fam), "--method", "simdiag", "--reproducible",
                      "--out", str(dec)]) == 3
+
+    def test_jordan_pair_split_within_the_cut_takes_shared_dominant(self, tmp_path):
+        # M = T diag(1, [[0.9, 1], [0, 0.9]]) T^-1 for T = [[-1, -1, -2], [2, 2, -1],
+        # [-3, -2, -2]] and M^2, as rounded in double precision.  At unit norm M's
+        # block comes back as 0.9 +- i delta with delta = 0.84 of the cut: one
+        # cluster of degree 2, so the family is not diagonalizable
+        M = [[1.18, 0.23999999999999994, 0.09999999999999995],
+             [-0.56, 0.4200000000000001, -0.1999999999999999],
+             [0.4400000000000004, 0.52, 1.1999999999999995]]
+        M2 = [[1.3019999999999998, 0.4359999999999999, 0.18999999999999986],
+              [-0.9840000000000002, -0.06199999999999984, -0.3799999999999997],
+              [0.7560000000000007, 0.9479999999999998, 1.3799999999999988]]
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 3, "matrices": [M, M2]}))
+        dec = tmp_path / "d.json"
+        assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 0
+        payload = json.loads(dec.read_text())
+        assert payload["route"] == "shared-dominant"
+        K = cone_from_json(payload["witness"])
+        assert all(is_invariant(K, np.array(A)).invariant for A in (M, M2))
 
     def test_commuting_2x2_jordan_pair_is_not_a_no(self, tmp_path):
         # both members are T [[1, nu], [0, 1]] T^-1 for T = [[-3, -3], [-3, -2]]

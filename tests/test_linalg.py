@@ -7,6 +7,7 @@ from conelab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     eigen_decompose,
+    eigenvalue_clusters,
     enumerate_words,
     is_vandergraft,
 )
@@ -44,13 +45,26 @@ class TestEigenDecompose:
             assert (ev.multiplicity, ev.degree, ev.eigenvectors.shape) == (3, 1, (3, 3))
 
     def test_conjugate_symmetry_exact(self):
+        # every complex cluster comes with its exact conjugate, carrying the
+        # same multiplicity and degree
+        c, s = 0.8 * np.cos(0.7), 0.8 * np.sin(0.7)
+        R, Z, I = np.array([[c, -s], [s, c]]), np.zeros((2, 2)), np.eye(2)
+        repeated, jordan = np.block([[R, Z], [Z, R]]), np.block([[R, I], [Z, R]])
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            spec = eigen_decompose(rng.normal(size=(5, 5)))
-            values = [ev.value for ev in spec.eigenvalues for _ in range(ev.multiplicity)]
-            assert sorted(map(complex, values), key=lambda z: (z.real, z.imag)) == sorted(
-                map(lambda z: complex(np.conj(z)), values), key=lambda z: (z.real, z.imag)
-            )
+        for A in [repeated, jordan] + [rng.normal(size=(5, 5)) for _ in range(50)]:
+            found = eig_map(eigen_decompose(A))
+            assert sum(m for m, _ in found.values()) == A.shape[0]
+            for z, md in found.items():
+                assert found[complex(np.conj(z))] == md
+        assert sorted(eig_map(eigen_decompose(repeated)).values()) == [(2, 1), (2, 1)]
+        assert sorted(eig_map(eigen_decompose(jordan)).values()) == [(2, 2), (2, 2)]
+
+    def test_rounded_jordan_pair_within_cut_is_one_cluster(self):
+        # T J T^-1 for T = [[-3, -3], [-1, -2]] and J = [[1, 1], [0, 1]], as
+        # rounded in double precision: its computed eigenvalues are 1 +- 1.86e-8 i,
+        # more than half the cut 3.6e-8 apart from their real part
+        A = np.array([[1.1102230246251565e-16, 3.0], [-0.3333333333333333, 2.0]])
+        assert eig_map(eigen_decompose(A)) == {(1 + 0j): (2, 2)}
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(11)
@@ -178,6 +192,16 @@ class TestEnumerateWords:
         results = [(w, is_vandergraft(P).is_vandergraft) for w, P in enumerate_words([A, B], 4)]
         assert len(results) == 30
         assert all(flag for _, flag in results)
+
+
+def test_eigenvalue_clusters_count_each_value_once():
+    # 0.6c lies within c of both 0 and 1.2c, yet belongs to one cluster only
+    c = 1e-8
+    clusters = eigenvalue_clusters([0.0, 0.6 * c, 1.2 * c], c)
+    assert len(clusters) == 2
+    assert sum(size for _, size in clusters) == 3
+    (mean, size), = eigenvalue_clusters([1 + 1j, 1 + 1j + 0.5j * c, 1 + 1j - 0.5j * c], c)
+    assert size == 3 and mean == pytest.approx(1 + 1j)
 
 
 def test_tolerance_config_validation():

@@ -253,6 +253,22 @@ class TestDecideSimdiag:
         assert d.answer == "no"
         assert d.certificate["failed_condition"] == "NonVandergraftProduct"
 
+    def test_dominant_labels_survive_rounding_level_similarity(self):
+        # blocks 0 and 1 tie in the first member, so their order rests on
+        # later members: equal eigenvalues of one member share one cluster
+        # mean, and rounding cannot reorder them
+        rng = np.random.default_rng(3)
+        S = rng.normal(size=(4, 4)) + 3 * np.eye(4)
+        mats = [S @ np.diag(d) @ np.linalg.inv(S)
+                for d in ([1.5, 1.5, 0.4, -0.3], [0.9, 0.5, 0.2, 0.1], [2.0, 2.0, -1.0, 0.5])]
+        base = decide_simdiag(mats, seed=1729)
+        assert base.answer == "yes"
+        for _ in range(5):
+            P = np.eye(4) + 1e-13 * rng.normal(size=(4, 4))
+            d = decide_simdiag([P @ M @ np.linalg.inv(P) for M in mats], seed=1729)
+            assert d.answer == "yes"
+            assert d.certificate["dominant_blocks"] == base.certificate["dominant_blocks"]
+
     def test_agrees_with_planar_decision(self):
         rng = np.random.default_rng(11)
         for trial in range(200):
