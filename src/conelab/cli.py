@@ -20,7 +20,7 @@ from .cones import contains, is_invariant, sample_points
 from .decision import Decision
 from .errors import ConelabError, HypothesesNotMet, NotCommuting, NotDiagonalizable
 from .fixtures import FamilyData, fixture_names, load_fixture
-from .linalg import ToleranceConfig, enumerate_words, is_vandergraft
+from .linalg import ToleranceConfig, enumerate_words, is_vandergraft, pow2_scaled
 from .planar import decide_common_2x2
 from .plotting import render_family_svg
 from .schemas import (
@@ -103,7 +103,9 @@ def cmd_classify(args) -> int:
             print(f"{name}: not Vandergraft: {rep.failed_condition}")
     total = 0
     failures = []
-    for word, P in enumerate_words(list(fd.matrices), args.wordlen):
+    # Power-of-two scaling keeps each word's verdict and keeps its product finite.
+    scaled = [pow2_scaled(M)[0] for M in fd.matrices]
+    for word, P in enumerate_words(scaled, args.wordlen):
         total += 1
         rep = is_vandergraft(P, tol)
         if not rep.is_vandergraft:

@@ -2,8 +2,9 @@
 
 Two witness shapes are supported: polyhedral cones given by unit generators,
 and quadratic (ellipsoidal) cones given by an axis plus a positive-definite
-form on its orthogonal complement.  Membership for polyhedral cones is a
-nonnegative least-squares projection, so every query also yields a distance.
+form on its orthogonal complement.  Membership for polyhedral cones is one
+nonnegative least-squares projection of the unit vector onto the unit
+generators, so every query also yields a distance.
 Invariance is decided exactly for both shapes: by the images of the
 generators, and for quadratic cones by an S-lemma certificate plus a
 dual-cone test (see `is_invariant`).
@@ -21,9 +22,6 @@ from scipy.optimize import brentq, nnls
 from .errors import DimensionMismatch, EmptyInput
 from .linalg import DEFAULT_TOL, ToleranceConfig, _norm, as_square_matrix, matrix_rank
 
-# Offset factors (relative to geom_tol) for the interior probe and the
-# strictness margin of quadratic interior tests.
-_INTERIOR_PROBE_FACTOR = 1e3
 # Membership treats vectors shorter than 2^30 units of the smallest subnormal
 # as the zero vector: their direction has fewer than 30 significant bits.
 _ZERO_NORM = 2.0 ** -1044
@@ -40,6 +38,8 @@ class PolyhedralCone:
         G = np.asarray(self.generators, dtype=float)
         if G.ndim != 2 or G.shape[1] != self.dim or G.shape[0] < 1:
             raise DimensionMismatch(f"bad generator array of shape {G.shape}")
+        if not np.all(np.isfinite(G)):
+            raise ValueError("generators must be finite")
         norms = np.linalg.norm(G, axis=1)
         if norms.min() <= 1e-150:
             norms = np.array([_norm(g) for g in G])
@@ -76,7 +76,12 @@ class QuadraticCone:
             raise DimensionMismatch("quadratic cones need ambient dimension >= 2")
         if x.shape != (self.dim,) or B.shape != (self.dim, self.dim - 1) or V.shape != (self.dim - 1, self.dim - 1):
             raise DimensionMismatch("inconsistent quadratic cone shapes")
-        x = x / np.linalg.norm(x)
+        if not all(np.all(np.isfinite(a)) for a in (x, B, V)):
+            raise ValueError("quadratic cone entries must be finite")
+        n = _norm(x)
+        if n < _ZERO_NORM:
+            raise EmptyInput("zero axis")
+        x = x / n
         if np.linalg.norm(B.T @ B - np.eye(self.dim - 1)) > 1e-8 or np.linalg.norm(B.T @ x) > 1e-8:
             raise ValueError("complement basis must be orthonormal and orthogonal to the axis")
         V = 0.5 * (V + V.T)
@@ -96,9 +101,10 @@ ConeRep = Union[PolyhedralCone, QuadraticCone]
 
 @dataclass(frozen=True)
 class MembershipResult:
+    """Whether a vector lies in K (to geom_tol, scale-free) and its Euclidean distance to K."""
+
     inside: bool
     distance: float
-    interior: bool
 
 
 @dataclass(frozen=True)
@@ -157,26 +163,14 @@ def nnls_distance(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.linalg.norm(A @ x - b)), x
 
 
-def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig,
-                           want_interior: bool = True) -> MembershipResult:
+def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig) -> MembershipResult:
     nv = _norm(v)
     if nv < _ZERO_NORM:
-        return MembershipResult(True, 0.0, False)
+        return MembershipResult(True, 0.0)
     # Membership in a cone is scale-invariant; working on the unit vector
-    # keeps flags independent of the input scale.
-    u = v / nv
-    udist, _ = nnls_distance(K.generators.T, u)
-    inside = udist <= tol.geom_tol
-    interior = False
-    if want_interior and inside and matrix_rank(K.generators, tol.rank_tol) == K.dim:
-        # u is interior iff it stays in K after stepping against the bulk
-        # direction of the generators; see the all-positive-coefficients
-        # characterization of conic interiors.
-        g = unit(K.generators.sum(axis=0))
-        probe = u - _INTERIOR_PROBE_FACTOR * tol.geom_tol * g
-        pdist, _ = nnls_distance(K.generators.T, probe)
-        interior = pdist <= tol.geom_tol * np.linalg.norm(probe)
-    return MembershipResult(bool(inside), udist * nv, bool(interior))
+    # keeps the flag independent of the input scale.
+    udist, _ = nnls_distance(K.generators.T, v / nv)
+    return MembershipResult(bool(udist <= tol.geom_tol), udist * nv)
 
 
 def _quad_coords(K: QuadraticCone, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -234,18 +228,19 @@ def _quad_distance(K: QuadraticCone, v: np.ndarray) -> float:
 def _quadratic_membership(K: QuadraticCone, v: np.ndarray, tol: ToleranceConfig) -> MembershipResult:
     nv = _norm(v)
     if nv < _ZERO_NORM:
-        return MembershipResult(True, 0.0, False)
-    u = v / nv
-    c, z = _quad_coords(K, u)
+        return MembershipResult(True, 0.0)
+    c, z = _quad_coords(K, v / nv)
     q = float(z @ K.form @ z)
     inside = c >= -tol.geom_tol and q <= c * c + tol.geom_tol
-    interior = c > tol.geom_tol and q < c * c - tol.geom_tol
-    dist = 0.0 if inside else _quad_distance(K, v)
-    return MembershipResult(bool(inside), dist, bool(interior))
+    return MembershipResult(bool(inside), 0.0 if inside else _quad_distance(K, v))
 
 
 def contains(K: ConeRep, v, tol: ToleranceConfig = DEFAULT_TOL) -> MembershipResult:
-    """Membership, distance to K, and an interior flag for one vector."""
+    """Membership of one vector and its distance to K.
+
+    The flag is decided on the unit vector, so it does not depend on the
+    vector's scale; the distance is that of the vector itself.
+    """
     w = np.asarray(v, dtype=float).reshape(-1)
     if w.size != K.dim:
         raise DimensionMismatch(f"vector of size {w.size} vs cone dimension {K.dim}")
@@ -288,8 +283,7 @@ def prune_generators(K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_TOL) -> P
     i = 0
     while i < len(rows) and len(rows) > 1:
         rest = rows[:i] + rows[i + 1:]
-        sub = PolyhedralCone(K.dim, np.array(rest))
-        dist, _ = nnls_distance(sub.generators.T, rows[i])
+        dist, _ = nnls_distance(np.array(rest).T, rows[i])
         if dist <= tol.geom_tol:
             rows.pop(i)
         else:
@@ -394,7 +388,7 @@ def is_invariant(K: ConeRep, A, tol: ToleranceConfig = DEFAULT_TOL) -> Invarianc
     max_dist = 0.0
     ok = True
     for idx, g in enumerate(K.generators):
-        res = _polyhedral_membership(K, M @ g, tol, want_interior=False)
+        res = _polyhedral_membership(K, M @ g, tol)
         if res.distance > max_dist:
             max_dist = res.distance
             worst = ("generator", idx, g.tolist())

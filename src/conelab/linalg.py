@@ -14,6 +14,7 @@ underflows.  The package's one 2x2 closed form is `planar.classify2`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -61,13 +62,25 @@ def as_square_matrix(A) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean (Frobenius) norm, rescaling tiny or huge arrays first:
-    squares of entries below ~1e-154 underflow, above ~1e154 overflow."""
-    n = float(np.linalg.norm(v))
-    if 1e-150 < n < 1e150:
-        return n
-    m = float(np.max(np.abs(v)))
+    """Euclidean (Frobenius) norm.  An array whose largest entry is below
+    1e-150 or above 1e150 is divided by that entry first: squares of entries
+    below ~1e-154 underflow, above ~1e154 overflow."""
+    m = max(map(abs, v.ravel().tolist()))
+    if 1e-150 < m < 1e150:
+        return float(np.linalg.norm(v))
     return m * float(np.linalg.norm(v / m)) if m > 0 else 0.0
+
+
+def pow2_scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^k M, k) for the k that brings ||2^k M|| nearest 1 on a log scale.
+
+    Scaling by a power of two is exact, so 2^k M keeps M's significands and
+    results computed from it scale back exactly.  k = 0 when ||M|| is within
+    a factor sqrt(2) of 1, so unit-norm members pass through unchanged.
+    """
+    n = _norm(M)
+    k = -round(math.log2(n)) if n > 0 else 0
+    return np.ldexp(M, k), k
 
 
 def unit_members(family) -> list[np.ndarray]:
@@ -191,10 +204,14 @@ def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceCon
     """Smallest k with rank((A - lam I)^k) = rank((A - lam I)^(k+1)).
 
     The degree never exceeds the multiplicity, so at most multiplicity - 1
-    rank comparisons are made and a simple eigenvalue needs none.
+    rank comparisons are made and a simple eigenvalue needs none.  A and lam
+    are first scaled by the power of two nearest 1/||A||, so the powers
+    neither underflow nor overflow.
     """
     if multiplicity == 1:
         return 1
+    A, k = pow2_scaled(A)
+    lam = complex(math.ldexp(lam.real, k), math.ldexp(lam.imag, k))
     M = A.astype(complex) - lam * np.eye(A.shape[0])
     if _norm(M) <= tol.eig_cluster_tol * _norm(A):
         return 1  # A is lam I up to rounding, which a relative rank would not see

@@ -13,7 +13,7 @@ whose properness and avoidance conditions settle the general case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, fix_sign, unit_members
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, fix_sign, pow2_scaled, unit_members
 
 KIND_DIAG = "DiagNonneg"
 KIND_NONDIAG = "NonDiag"
@@ -83,11 +83,28 @@ def _eigvec_2x2(A: np.ndarray, lam: float) -> np.ndarray:
     return fix_sign(v / n)
 
 
+def _ldexp(x: float | None, e: int) -> float | None:
+    """x * 2^e (inf where that leaves the float range); None stays None."""
+    with np.errstate(over="ignore"):
+        return None if x is None else float(np.ldexp(x, e))
+
+
 def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
-    """Closed-form case split for a 2x2 matrix (never raises on bad spectra)."""
+    """Closed-form case split for a 2x2 matrix (never raises on bad spectra).
+
+    With its largest entry outside 2^-400..2^400, t*t - 4d could underflow
+    or overflow; such an A is first scaled by the power of two nearest
+    1/||A||, and the eigenvalues, trace and determinant are scaled back.
+    """
     M = as_square_matrix(A)
     if M.shape[0] != 2:
         raise PreconditionFailed("classify2 expects a 2x2 matrix")
+    m = max(map(abs, M.ravel().tolist()))
+    if m and not 2.0 ** -400 < m < 2.0 ** 400:
+        S, k = pow2_scaled(M)
+        f = classify2(S, tol)
+        return replace(f, lam1=_ldexp(f.lam1, -k), lam2=_ldexp(f.lam2, -k),
+                       trace=_ldexp(f.trace, -k), det=_ldexp(f.det, -2 * k))
     t = float(M[0, 0] + M[1, 1])
     d = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
     s = float(np.linalg.norm(M))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from . import decision as dd
-from .cones import QuadraticCone, contains, is_invariant
+from .cones import QuadraticCone, is_invariant
 from .decision import Decision
 from .errors import (
     EmptyFamily,
@@ -123,6 +123,8 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
         raise EmptyFamily("no matrices")
     mats = [as_square_matrix(M) for M in family]
     m = mats[0].shape[0]
+    if m == 1:
+        raise PreconditionFailed("ambient dimension must be at least 2")
     T = None if similarity is None else as_square_matrix(similarity)
     work = mats if T is None else [np.linalg.solve(T, M @ T) for M in mats]
     for j, W in enumerate(work):
@@ -142,8 +144,6 @@ def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarit
             raise NoSharedDominantVector(f"supplied vector is not dominant for member {j}")
         rhos.append(rho)
 
-    if m == 1:
-        raise PreconditionFailed("ambient dimension must be at least 2")
     if T is None:
         B = nullspace(x.reshape(1, -1), tol.rank_tol)
         K = QuadraticCone(m, x, np.eye(m - 1), B)
@@ -325,12 +325,15 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
     that is a definitive NO.  Otherwise tries the normal-family ice-cream
     construction first, then the commuting route (scale to spectral radius
     one, deflate the shared eigenvector, solve the common Lyapunov
-    inequality, return the ellipsoidal cone).  Raises HypothesesNotMet when
-    neither route applies.  Members are scaled to unit norm first, so the
-    answer does not depend on their scale; `spectral_radii` and the Lyapunov
-    fields describe the scaled members.
+    inequality, return the ellipsoidal cone).  Raises HypothesesNotMet for a
+    1x1 family, before any other work, and when neither route applies.
+    Members are scaled to unit norm first, so the answer does not depend on
+    their scale; `spectral_radii` and the Lyapunov fields describe the
+    scaled members.
     """
     mats = unit_members(family)
+    if mats[0].shape[0] < 2:
+        raise HypothesesNotMet("DimensionMismatch", "the shared-dominant route needs dimension at least 2")
     reports = [is_vandergraft(M, tol) for M in mats]
     bad = next((j for j, rep in enumerate(reports) if not rep.is_vandergraft), None)
     if bad is not None:
@@ -377,7 +380,8 @@ def decide_shared_dominant(family, tol: ToleranceConfig = DEFAULT_TOL, similarit
     Q_defl[1:, 1:] = cert.V
     Sinv = np.linalg.inv(deflated.S)
     K = quadratic_cone_from_form(Sinv.T @ Q_defl @ Sinv, x)
-    if not contains(K, x, tol).interior:
+    # For the unit vector x = c*axis + B y: c > geom_tol and y^T V y < c^2 - geom_tol.
+    if not (K.axis @ x > tol.geom_tol and x @ K.ambient_form() @ x < -tol.geom_tol):
         raise InternalInconsistency("shared dominant eigenvector is not interior to the witness")
 
     return Decision(dd.YES, K, {

@@ -87,6 +87,15 @@ class TestClassify:
         assert main(["classify", emit("ex7_5")]) == 0
         assert "all 30 words are Vandergraft" in capsys.readouterr().out
 
+    def test_huge_members(self, tmp_path, capsys):
+        # the raw word products would overflow to inf at this scale
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dimension": 3, "matrices": [np.diag([3e200, 2e200, 1e200]).tolist()]}))
+        assert main(["classify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "A0: Vandergraft, dominant eigenvalue 3e+200" in out
+        assert "all 4 words are Vandergraft" in out
+
 
 class TestVerify:
     def test_orthant_identity(self, tmp_path):
@@ -258,6 +267,16 @@ class TestRouting:
         dec = tmp_path / "d.json"
         assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 3
         assert json.loads(dec.read_text())["route"] == "none-applicable"
+
+    def test_1x1_family_on_shared_dominant_is_undecided(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 1, "matrices": [[[2.0]], [[0.5]]]}))
+        dec = tmp_path / "d.json"
+        assert main(["common", str(fam), "--method", "shared-dominant",
+                     "--reproducible", "--out", str(dec)]) == 3
+        payload = json.loads(dec.read_text())
+        assert payload["answer"] == "undecided"
+        assert payload["certificate"]["evidence"]["hypothesis"] == "DimensionMismatch"
 
     @pytest.mark.parametrize("method", ["auto", "shared-dominant"])
     def test_non_vandergraft_member_is_definitive_no(self, tmp_path, method):

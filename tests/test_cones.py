@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conelab.cones
 from _gen import quadratic_boundary_points, quadratic_inside
 from conelab.cones import (
     PolyhedralCone,
@@ -32,7 +33,7 @@ class TestMembership:
     def test_orthant_inside(self):
         K = conic_hull([[1, 0], [0, 1]])
         res = contains(K, [1, 1])
-        assert res.inside and res.interior and res.distance == 0.0
+        assert res.inside and res.distance == 0.0
 
     def test_antipodal_distance(self):
         K = conic_hull([[1, 0], [0, 1]])
@@ -41,11 +42,24 @@ class TestMembership:
 
     def test_ice_cream_boundary(self):
         res = contains(ice_cream(), [1, 0.6, 0.8])
-        assert res.inside and not res.interior
+        assert res.inside and res.distance == 0.0
+        assert not contains(ice_cream(), [1, 0.6 + 1e-6, 0.8]).inside
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             contains(conic_hull([[1, 0]]), [1, 0, 0])
+
+    def test_polyhedral_membership_is_one_projection(self, monkeypatch):
+        calls = []
+
+        def count(name):
+            original = getattr(conelab.cones, name)
+            monkeypatch.setattr(conelab.cones, name, lambda *args: calls.append(name) or original(*args))
+
+        count("nnls_distance")
+        count("matrix_rank")
+        assert contains(conic_hull([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), [1, 2, 3]).inside
+        assert calls == ["nnls_distance"]
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-3, 3), st.floats(-3, 3), st.sampled_from([0.5, 2.0, 7.0]))
@@ -53,7 +67,8 @@ class TestMembership:
         K = conic_hull([[1, 0], [1, 1], [0, 1]])
         a = contains(K, [x, y])
         b = contains(K, [c * x, c * y])
-        assert a.inside == b.inside and a.interior == b.interior
+        assert a.inside == b.inside
+        assert b.distance == pytest.approx(c * a.distance, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2), st.sampled_from([0.5, 3.0]))
@@ -61,7 +76,8 @@ class TestMembership:
         K = ice_cream()
         a = contains(K, [x, y, z])
         b = contains(K, [c * x, c * y, c * z])
-        assert a.inside == b.inside and a.interior == b.interior
+        assert a.inside == b.inside
+        assert b.distance == pytest.approx(c * a.distance, rel=1e-9, abs=1e-12)
 
     def test_quadratic_distance_is_projection(self):
         rng = np.random.default_rng(9)

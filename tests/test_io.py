@@ -68,6 +68,19 @@ class TestConeFiles:
         with pytest.raises(SchemaError):
             cone_from_json({"type": "simplicial", "dim": 2})
 
+    @pytest.mark.parametrize("cone, mutate", [
+        (conic_hull([[1, 0], [1, 2]]), lambda o: o["generators"][0].__setitem__(1, float("nan"))),
+        (conic_hull([[1, 0], [1, 2]]), lambda o: o["generators"][1].__setitem__(0, float("inf"))),
+        (QuadraticCone(3, np.eye(3)[:, 0], np.eye(2), np.eye(3)[:, 1:]), lambda o: o.__setitem__("axis", [0, 0, 0])),
+        (QuadraticCone(3, np.eye(3)[:, 0], np.eye(2), np.eye(3)[:, 1:]),
+         lambda o: o.__setitem__("axis", [float("nan"), 0, 0])),
+    ], ids=["nan-generator", "inf-generator", "zero-axis", "nan-axis"])
+    def test_malformed_rejected(self, cone, mutate):
+        obj = cone_to_json(cone)
+        mutate(obj)
+        with pytest.raises(SchemaError):
+            cone_from_json(obj)
+
 
 class TestDecisionFiles:
     def test_roundtrip_field_for_field(self):

@@ -54,6 +54,16 @@ class TestClassify2:
     def test_negative_scalar_not_vandergraft(self):
         assert classify2(-1.0 * np.eye(2)).kind == "NotVandergraft"
 
+    def test_any_magnitude(self):
+        # t*t - 4d overflows above ~1e154 and underflows below ~1e-154
+        for s in (1e-300, 1e-160, 1e160, 1e300):
+            fr = classify2(s * np.array([[1.0, 1.0], [0.0, 1.0]]))
+            assert fr.kind == "NonDiag" and not fr.is_scalar
+            assert (fr.lam1, fr.trace) == pytest.approx((s, 2 * s), rel=1e-12)
+            assert np.allclose(fr.u1, [1, 0])
+            fr = classify2(s * np.array([[2.0, 1.0], [0.0, 1.0]]))
+            assert fr.kind == "DiagNonneg" and (fr.lam1, fr.lam2) == pytest.approx((2 * s, s), rel=1e-12)
+
 
 class TestAssociatedSign:
     def test_positive(self):
