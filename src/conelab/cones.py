@@ -4,7 +4,9 @@ Two witness shapes are supported: polyhedral cones given by unit generators,
 and quadratic (ellipsoidal) cones given by an axis plus a positive-definite
 form on its orthogonal complement.  Membership for polyhedral cones is one
 nonnegative least-squares projection of the unit vector onto the unit
-generators, so every query also yields a distance.
+generators, so every query also yields a distance.  Projections onto a ray
+or onto a pointed cone in the plane are answered in closed form, so the 2x2
+route does not load scipy; scipy is imported only by the calls that need it.
 Invariance is decided exactly for both shapes: by the images of the
 generators, and for quadratic cones by an S-lemma certificate plus a
 dual-cone test (see `is_invariant`).
@@ -12,12 +14,12 @@ dual-cone test (see `is_invariant`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Union
 
 import numpy as np
-from scipy.linalg import eigvals
-from scipy.optimize import brentq, nnls
 
 from .errors import DimensionMismatch, EmptyInput
 from .linalg import DEFAULT_TOL, ToleranceConfig, _norm, as_square_matrix, matrix_rank
@@ -38,10 +40,13 @@ class PolyhedralCone:
         G = np.asarray(self.generators, dtype=float)
         if G.ndim != 2 or G.shape[1] != self.dim or G.shape[0] < 1:
             raise DimensionMismatch(f"bad generator array of shape {G.shape}")
-        if not np.all(np.isfinite(G)):
+        m = float(np.abs(G).max())
+        if not math.isfinite(m):
             raise ValueError("generators must be finite")
-        norms = np.linalg.norm(G, axis=1)
-        if norms.min() <= 1e-150:
+        # Plain norms overflow for entries above ~1e154 and lose precision or
+        # underflow below ~1e-154; `_norm` rescales such rows first.
+        norms = np.linalg.norm(G, axis=1) if m < 1e150 else None
+        if norms is None or norms.min() <= 1e-150:
             norms = np.array([_norm(g) for g in G])
             if norms.min() < _ZERO_NORM:
                 raise EmptyInput("zero generator")
@@ -156,11 +161,69 @@ def conic_hull(vectors, dim: int | None = None, tol: ToleranceConfig = DEFAULT_T
     return PolyhedralCone(dim, G)
 
 
-def nnls_distance(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """min ||A x - b|| over x >= 0; the residual is recomputed from x because
-    some scipy versions report an unreliable rnorm."""
+# Extreme rays of a planar cone whose sine is below this are antiparallel to
+# rounding: the cone may be a half-plane, so scipy decides it.
+_ANTIPARALLEL_SIN = 1e-15
+
+
+def _ray_distance(a: list[float], b: list[float]) -> float:
+    """Distance from b to the ray {t a : t >= 0}."""
+    t = sum(map(mul, a, b))
+    if t <= 0.0:
+        return math.hypot(*b)
+    s = t / sum(map(mul, a, a))
+    return math.hypot(*[y - s * x for x, y in zip(a, b)])
+
+
+def _planar_distance(xs: list[float], ys: list[float], bx: float, by: float) -> float | None:
+    """Distance from (bx, by) to the cone of the plane vectors (xs[i], ys[i]).
+
+    One pass keeps the extreme rays lo and hi of the cone seen so far, a
+    sector of angle below pi, by the signs of cross products; a vector that
+    neither lies in the sector nor widens it to less than pi shows the cone
+    is not pointed.  A point of the sector is at distance 0, any other point
+    is nearest to one of the two extreme rays.  None when the cone is not
+    pointed, its extreme rays are antiparallel to rounding, or a vector is
+    zero.
+    """
+    (lx, ly), *rest = zip(xs, ys)
+    hx, hy = lx, ly
+    for x, y in rest:
+        cl, ch = lx * y - ly * x, hx * y - hy * x
+        if cl >= 0.0 >= ch and (lx * x + ly * y > 0.0 or hx * x + hy * y > 0.0):
+            continue
+        if cl > 0.0 and ch > 0.0:
+            hx, hy = x, y
+        elif cl < 0.0 and ch < 0.0:
+            lx, ly = x, y
+        else:
+            return None
+    if lx * hx + ly * hy < 0.0 and lx * hy - ly * hx <= _ANTIPARALLEL_SIN * math.hypot(lx, ly) * math.hypot(hx, hy):
+        return None
+    if lx * by - ly * bx >= 0.0 >= hx * by - hy * bx and (lx * bx + ly * by > 0.0 or hx * bx + hy * by > 0.0):
+        return 0.0
+    return min(_ray_distance([lx, ly], [bx, by]), _ray_distance([hx, hy], [bx, by]))
+
+
+def nnls_distance(A: np.ndarray, b: np.ndarray) -> float:
+    """min ||A x - b|| over x >= 0 (the distance from b to the cone of A's columns).
+
+    One column, in any dimension, is a projection onto a ray, and two rows
+    (the plane) are decided by the cone's extreme rays (`_planar_distance`);
+    both are closed forms in Python floats.  Other shapes, and planar cones
+    that are not pointed, go to scipy's NNLS, whose residual is recomputed
+    from x because some scipy versions report an unreliable rnorm.
+    """
+    if A.shape[1] == 1:
+        return _ray_distance(A[:, 0].tolist(), b.tolist())
+    if A.shape[0] == 2:
+        dist = _planar_distance(*A.tolist(), *b.tolist())
+        if dist is not None:
+            return dist
+    from scipy.optimize import nnls
+
     x, _ = nnls(A, b)
-    return float(np.linalg.norm(A @ x - b)), x
+    return float(np.linalg.norm(A @ x - b))
 
 
 def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig) -> MembershipResult:
@@ -169,7 +232,7 @@ def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfi
         return MembershipResult(True, 0.0)
     # Membership in a cone is scale-invariant; working on the unit vector
     # keeps the flag independent of the input scale.
-    udist, _ = nnls_distance(K.generators.T, v / nv)
+    udist = nnls_distance(K.generators.T, v / nv)
     return MembershipResult(bool(udist <= tol.geom_tol), udist * nv)
 
 
@@ -207,6 +270,8 @@ def _quad_distance(K: QuadraticCone, v: np.ndarray) -> float:
         else:
             c = max(c0 / (1.0 - mu), 0.0)
         return c * K.axis + K.complement_basis @ (W @ w)
+
+    from scipy.optimize import brentq
 
     mu = None
     thresh = 1e-9 * nv
@@ -250,8 +315,20 @@ def contains(K: ConeRep, v, tol: ToleranceConfig = DEFAULT_TOL) -> MembershipRes
 
 
 def _simplex_distance(G: np.ndarray, tol: ToleranceConfig) -> float:
-    """min ||G x|| over the simplex {x >= 0, sum x = 1} (columns of G)."""
+    """min ||G x|| over the simplex {x >= 0, sum x = 1} (columns of G).
+
+    For one or two columns this is the distance from 0 to the segment
+    [g_1, g_k]; more columns solve a penalized NNLS system with scipy.
+    """
     k = G.shape[1]
+    if k <= 2:
+        g, h = G[:, 0].tolist(), G[:, -1].tolist()
+        e = [y - x for x, y in zip(g, h)]
+        ee = sum(x * x for x in e)
+        t = min(max(-sum(x * y for x, y in zip(g, e)) / ee, 0.0), 1.0) if ee > 0.0 else 0.0
+        return math.hypot(*(x + t * y for x, y in zip(g, e)))
+    from scipy.optimize import nnls
+
     penalty = 1e6
     A = np.vstack([G, penalty * np.ones((1, k))])
     b = np.concatenate([np.zeros(G.shape[0]), [penalty]])
@@ -283,8 +360,7 @@ def prune_generators(K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_TOL) -> P
     i = 0
     while i < len(rows) and len(rows) > 1:
         rest = rows[:i] + rows[i + 1:]
-        dist, _ = nnls_distance(np.array(rest).T, rows[i])
-        if dist <= tol.geom_tol:
+        if nnls_distance(np.array(rest).T, rows[i]) <= tol.geom_tol:
             rows.pop(i)
         else:
             i += 1
@@ -343,6 +419,8 @@ def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> I
     t_max = -float(x @ P @ x)
     ts = np.array([0.0])
     if t_max > 0:
+        from scipy.linalg import eigvals
+
         gen = eigvals(P, Q).real
         ts = np.unique(np.concatenate([ts, [t_max], gen[(gen > 0) & (gen < t_max)]]))
         ts = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])])

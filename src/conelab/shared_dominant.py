@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from . import decision as dd
 from .cones import QuadraticCone, is_invariant
@@ -237,6 +236,8 @@ def _series_sum(mats) -> np.ndarray:
     the solution of one Stein equation X = A* X A + W (unique because
     rho(A) < 1), which is solved directly instead of term by term.
     """
+    from scipy.linalg import solve_discrete_lyapunov
+
     W = np.eye(mats[0].shape[0], dtype=complex)
     for A in reversed(mats):
         W = solve_discrete_lyapunov(A.conj().T, W)

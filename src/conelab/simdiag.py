@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import decision as dd
 from .cones import _ZERO_NORM, PolyhedralCone, _norm, contains, is_proper, nnls_distance, prune_generators, unit
@@ -289,6 +288,8 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
         return DominantIndexSet(frozenset(indices), witnesses, bound, False, tuple(notes))
     # A block outside the set is weakly maximal in some direction c >= 0,
     # sum(c) = 1, exactly when its LP is feasible; one such block refutes `exact`.
+    from scipy.optimize import linprog
+
     logs, n = np.log(np.abs(L)), form.family_size
     exact = not any(
         linprog(np.zeros(n), A_ub=np.delete(logs, i, axis=0) - logs[i], b_ub=np.full(len(logs) - 1, 1e-9),
@@ -350,8 +351,7 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
     def absorbed(v):
         if not gens:
             return False
-        dist, _ = nnls_distance(np.array(gens).T, v)
-        return dist <= tol.geom_tol
+        return nnls_distance(np.array(gens).T, v) <= tol.geom_tol
 
     for v, t in seeds:
         if not absorbed(v):

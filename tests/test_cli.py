@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conelab
 import conelab.linalg
 from conelab.cli import main
 from conelab.cones import is_invariant
@@ -382,3 +385,31 @@ def test_fixture_matrices_match_classify_kinds(emit):
     fd = family_from_json(json.load(open(emit("ex7_1"))))
     kinds = [classify2(M).kind for M in fd.matrices]
     assert kinds == ["NegDet", "NegDet"]
+
+
+STARTUP_PROBE = """
+import sys
+from conelab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+ex7_2, diag_pair, spiral3, out = sys.argv[1:]
+assert not scipy_modules(), scipy_modules()[:5]
+assert cli.main(["common", ex7_2, "--reproducible", "--out", out]) == 1
+assert cli.main(["common", diag_pair, "--reproducible", "--out", out]) == 0
+assert not scipy_modules(), scipy_modules()[:5]
+assert cli.main(["common", spiral3, "--reproducible", "--out", out]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_startup_and_2x2_route_load_no_scipy(emit, tmp_path):
+    """`import conelab.cli` and 2x2 decisions (NO and YES) import no scipy
+    module; a simultaneous-diagonalization family still answers YES,
+    loading scipy on demand."""
+    src = str(Path(conelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, emit("ex7_2"), emit("diag_pair"), emit("spiral3"),
+                           str(tmp_path / "d.json")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

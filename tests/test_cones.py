@@ -1,22 +1,30 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 import conelab.cones
 from _gen import quadratic_boundary_points, quadratic_inside
 from conelab.cones import (
     PolyhedralCone,
     QuadraticCone,
+    _simplex_distance,
     conic_hull,
     contains,
     is_invariant,
     is_proper,
+    nnls_distance,
     prune_generators,
     sample_points,
     unit,
 )
 from conelab.errors import DimensionMismatch, EmptyInput
+from conelab.linalg import DEFAULT_TOL
 
 
 def ice_cream(dim=3):
@@ -242,6 +250,13 @@ class TestHullAndPrune:
         assert is_proper(K)
         assert gen_set(K) == {(0.0, 1.0), (1.0, 0.0)}
 
+    def test_huge_generators_stay_generators(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = PolyhedralCone(2, [[1e200, 0], [0, 1e200]])
+            assert np.array_equal(K.generators, np.eye(2))
+            assert contains(K, [1, 1]).inside
+
     def test_unit_of_a_vector_whose_square_underflows(self):
         assert np.array_equal(unit(np.array([1e-170, 0.0])), [1.0, 0.0])
 
@@ -264,3 +279,113 @@ def test_polyhedral_cone_rejects_zero_generator():
 def test_quadratic_cone_validation():
     with pytest.raises(ValueError):
         QuadraticCone(3, np.eye(3)[:, 0], -np.eye(2), np.eye(3)[:, 1:])
+
+
+def _exact_planar_distance(A, b):
+    """Distance from b to the cone of A's plane columns in rational arithmetic:
+    0 if b lies in the cone of some pair of columns, else the nearest column ray."""
+    cols = [(Fraction(x), Fraction(y)) for x, y in zip(*A.tolist())]
+    bx, by = map(Fraction, b.tolist())
+    for i, (x1, y1) in enumerate(cols):
+        for x2, y2 in cols[i + 1:]:
+            det = x1 * y2 - y1 * x2
+            if det and (bx * y2 - by * x2) / det >= 0 and (x1 * by - y1 * bx) / det >= 0:
+                return 0.0
+    sq = bx * bx + by * by
+    for x, y in cols:
+        t = x * bx + y * by
+        if t > 0:
+            sq = min(sq, bx * bx + by * by - t * t / (x * x + y * y))
+    return math.sqrt(sq)
+
+
+def _exact_segment_distance(G):
+    """Distance from 0 to the segment between G's two columns, in rational arithmetic."""
+    g, h = ([Fraction(v) for v in col] for col in G.T.tolist())
+    e = [y - x for x, y in zip(g, h)]
+    ee = sum(x * x for x in e)
+    t = min(max(-sum(x * y for x, y in zip(g, e)) / ee, Fraction(0)), Fraction(1)) if ee else Fraction(0)
+    return math.sqrt(sum((x + t * y) ** 2 for x, y in zip(g, e)))
+
+
+PLANAR_KINDS = ("pointed", "half-plane", "whole-plane", "nearly parallel", "nearly antiparallel")
+
+
+def _planar_columns(rng, kind, k):
+    """k unit columns in the plane whose cone is of the given kind."""
+    c = rng.uniform(0, 2 * np.pi)
+    if kind == "pointed":
+        ang = c + rng.uniform(0, rng.uniform(0, 0.999 * np.pi), k)
+    elif kind == "half-plane":  # a column and its exact negative bound it
+        ang = np.concatenate([[c], c + rng.uniform(0, np.pi, k - 2)])
+    elif kind == "whole-plane":
+        ang = rng.uniform(0, 2 * np.pi, k)
+    elif kind == "nearly parallel":
+        ang = c + rng.normal(0, 1e-9, k)
+    else:  # an extreme pair 1e-16 to 1e-4 short of (or past) antiparallel
+        gap = rng.choice([-1, 1]) * 10 ** rng.uniform(-16, -4)
+        ang = np.concatenate([[c, c + np.pi - gap], c + rng.uniform(0, np.pi, k - 2)])
+    A = np.vstack([np.cos(ang), np.sin(ang)])
+    return np.hstack([A, -A[:, :1]]) if kind == "half-plane" else A
+
+
+class TestNnlsClosedForm:
+    def test_agrees_with_scipy(self):
+        """One-column and planar problems against scipy's NNLS.
+
+        Where the two differ by more than 1e-11 |b|, the exact rational
+        distance decides; it must side with `nnls_distance`.  This happens
+        only for nearly antiparallel extreme pairs, whose NNLS systems are
+        ill-conditioned: scipy's residual, recomputed from huge coefficients
+        or left at its stopping tolerance, is then off.
+        """
+        rng = np.random.default_rng(2024)
+        geom_tol = DEFAULT_TOL.geom_tol
+        closed = overruled = flags = 0
+        for trial in range(20_000):
+            k = int(rng.integers(1, 9))
+            if k == 1:
+                A = rng.normal(size=(int(rng.integers(2, 7)), 1))
+                A /= np.linalg.norm(A)
+            else:
+                A = _planar_columns(rng, PLANAR_KINDS[trial % len(PLANAR_KINDS)], k)
+            b = rng.normal(size=A.shape[0]) * 10 ** rng.uniform(-3, 3)
+            if trial % 3 == 0:  # near the cone, at distances around geom_tol
+                b = A @ rng.uniform(0, 1, A.shape[1]) + rng.normal(size=A.shape[0]) * 10 ** rng.uniform(-12, -6)
+            nb = float(np.linalg.norm(b))
+            x, _ = nnls(A, b)
+            ref = float(np.linalg.norm(A @ x - b))
+            dist = nnls_distance(A, b)
+            closed += A.shape[1] == 1 or conelab.cones._planar_distance(*A.tolist(), *b.tolist()) is not None
+            if abs(dist - ref) > 1e-11 * nb:
+                assert A.shape[0] == 2 and PLANAR_KINDS[trial % len(PLANAR_KINDS)] == "nearly antiparallel"
+                ref = _exact_planar_distance(A, b)
+                assert abs(dist - ref) <= 1e-11 * nb
+                overruled += 1
+            if not ref / 10 <= geom_tol <= 10 * ref:
+                assert (dist <= geom_tol) == (ref <= geom_tol)
+                flags += 1
+        assert closed > 12_000 and flags > 19_000
+        assert overruled < 200
+
+    def test_simplex_distance_of_two_generators(self):
+        """The segment distance against the penalty-NNLS system it replaces
+        (min ||G x|| + 1e6 (sum x - 1) over x >= 0), with the exact rational
+        distance deciding where they differ by more than 1e-11."""
+        rng = np.random.default_rng(77)
+        geom_tol = DEFAULT_TOL.geom_tol
+        for trial in range(3000):
+            d = int(rng.integers(2, 7))
+            G = rng.normal(size=(d, 2))
+            if trial % 3:  # nearly antiparallel or nearly parallel pairs
+                G[:, 1] = (-1) ** trial * G[:, 0] + rng.normal(size=d) * 10 ** rng.uniform(-12, -2)
+            G /= np.linalg.norm(G, axis=0)
+            A = np.vstack([G, 1e6 * np.ones((1, 2))])
+            x, _ = nnls(A, np.concatenate([np.zeros(d), [1e6]]))
+            ref = float(np.linalg.norm(G @ (x / np.sum(x))))
+            dist = _simplex_distance(G, DEFAULT_TOL)
+            if abs(dist - ref) > 1e-11:
+                ref = _exact_segment_distance(G)
+                assert abs(dist - ref) <= 1e-15
+            if not ref / 10 <= geom_tol <= 10 * ref:
+                assert (dist > geom_tol) == (ref > geom_tol)
