@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import decision as dd
-from .cones import contains, is_invariant, sample_points
+from .cones import contains_rows, is_invariant, sample_points
 from .decision import Decision
 from .errors import ConelabError, HypothesesNotMet, NotCommuting, NotDiagonalizable
 from .fixtures import FamilyData, fixture_names, load_fixture
@@ -185,11 +185,7 @@ def cmd_verify(args) -> int:
         print(f"{name}: {status} (method={rep.method}, max distance {rep.max_distance:.3e}){detail}")
         ok = ok and rep.invariant
     pts = sample_points(K, args.samples, seed)
-    bad = 0
-    for M in fd.matrices:
-        for p in pts:
-            if not contains(K, M @ p, tol).inside:
-                bad += 1
+    bad = sum(int((~contains_rows(K, pts @ M.T, tol)).sum()) for M in fd.matrices)
     print(f"membership probes: {args.samples} points x {len(fd.matrices)} matrices, {bad} violations")
     ok = ok and bad == 0
     return EXIT_YES if ok else EXIT_NO

@@ -244,9 +244,11 @@ def _quad_coords(K: QuadraticCone, v: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _quad_distance(K: QuadraticCone, v: np.ndarray) -> float:
     """Euclidean distance from v to K via the KKT projection equations."""
-    nv = float(np.linalg.norm(v))
+    nv = _norm(v)
     if nv == 0.0:
         return 0.0
+    if not 1e-150 < nv < 1e150:  # squares below would underflow, above overflow
+        return nv * _quad_distance(K, v / nv)
     c0, z0 = _quad_coords(K, v)
     d, W = np.linalg.eigh(K.form)
     w0 = W.T @ z0
@@ -290,14 +292,24 @@ def _quad_distance(K: QuadraticCone, v: np.ndarray) -> float:
     return min(float(np.linalg.norm(v - p)) for p in candidates)
 
 
+def _quad_inside(K: QuadraticCone, U: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Membership flags of the unit rows of U: c >= -geom_tol and z^T V z <= c^2 + geom_tol.
+
+    Products are written as elementwise sums, not BLAS calls, so a row's flag
+    does not depend on how many rows come with it.
+    """
+    c = (U * K.axis).sum(axis=1)
+    Z = (U[:, :, None] * K.complement_basis).sum(axis=1)
+    q = ((Z[:, :, None] * K.form).sum(axis=1) * Z).sum(axis=1)
+    return (c >= -tol.geom_tol) & (q <= c * c + tol.geom_tol)
+
+
 def _quadratic_membership(K: QuadraticCone, v: np.ndarray, tol: ToleranceConfig) -> MembershipResult:
     nv = _norm(v)
     if nv < _ZERO_NORM:
         return MembershipResult(True, 0.0)
-    c, z = _quad_coords(K, v / nv)
-    q = float(z @ K.form @ z)
-    inside = c >= -tol.geom_tol and q <= c * c + tol.geom_tol
-    return MembershipResult(bool(inside), 0.0 if inside else _quad_distance(K, v))
+    inside = bool(_quad_inside(K, (v / nv)[None, :], tol)[0])
+    return MembershipResult(inside, 0.0 if inside else _quad_distance(K, v))
 
 
 def contains(K: ConeRep, v, tol: ToleranceConfig = DEFAULT_TOL) -> MembershipResult:
@@ -312,6 +324,39 @@ def contains(K: ConeRep, v, tol: ToleranceConfig = DEFAULT_TOL) -> MembershipRes
     if isinstance(K, PolyhedralCone):
         return _polyhedral_membership(K, w, tol)
     return _quadratic_membership(K, w, tol)
+
+
+def contains_rows(K: ConeRep, V, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Membership flags of the rows of V, as `contains(K, row).inside` gives them.
+
+    The rows are decided together on their unit vectors.  Quadratic flags
+    come from `_quad_inside`.  A polyhedral row is certified inside by one
+    least-squares solve x G ~ u for all rows: x >= 0 with ||x G - u|| plus a
+    bound on its rounding at most half of geom_tol bounds the NNLS distance
+    below geom_tol.  The rows left open go to `contains` one by one:
+    polyhedral rows that are not certified, and rows whose largest |entry|
+    is 0, not finite or outside (1e-150, 1e150), where squared norms could
+    underflow or overflow.
+    """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != K.dim:
+        raise DimensionMismatch(f"rows of shape {V.shape[1:]} vs cone dimension {K.dim}")
+    m = np.abs(V).max(axis=1)
+    ok = (m > 1e-150) & (m < 1e150)
+    inside = np.zeros(len(V), dtype=bool)
+    if ok.any():
+        U = V[ok] / np.linalg.norm(V[ok], axis=1)[:, None]
+        if isinstance(K, QuadraticCone):
+            inside[ok] = _quad_inside(K, U, tol)
+        else:
+            G = K.generators
+            X = np.linalg.lstsq(G.T, U.T, rcond=None)[0].T
+            resid = np.linalg.norm(X @ G - U, axis=1)
+            rounding = (G.shape[0] + K.dim + 2) * np.finfo(float).eps * (np.abs(X).sum(axis=1) + 1.0)
+            inside[ok] = (X >= 0).all(axis=1) & (resid + rounding <= 0.5 * tol.geom_tol)
+    for i in np.flatnonzero(~ok if isinstance(K, QuadraticCone) else ~inside):
+        inside[i] = contains(K, V[i], tol).inside
+    return inside
 
 
 def _simplex_distance(G: np.ndarray, tol: ToleranceConfig) -> float:
@@ -410,7 +455,7 @@ def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> I
     inside K u -K lies in K iff its axis components are nonnegative, i.e. iff
     A^T x is in the dual cone K* (axis x, form V^-1).
     """
-    scale = float(np.linalg.norm(A))
+    scale = _norm(A)
     An = A / scale if scale > 0 else A  # positive scaling keeps invariance
     Q = K.ambient_form()
     P = An.T @ Q @ An

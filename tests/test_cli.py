@@ -10,7 +10,7 @@ import pytest
 import conelab
 import conelab.linalg
 from conelab.cli import main
-from conelab.cones import is_invariant
+from conelab.cones import contains, is_invariant, sample_points
 from conelab.fixtures import ex7_2
 from conelab.schemas import cone_from_json, dumps, family_to_json
 from conelab.planar import classify2
@@ -133,6 +133,58 @@ class TestVerify:
         cone = tmp_path / "cone.json"
         cone.write_text(json.dumps({"type": "polyhedral", "dim": 2, "generators": [[1, 0]]}))
         assert main(["verify", str(fam), str(cone)]) == 2
+
+
+def _planted_cones():
+    """(family, cone) pairs whose cone is not invariant under the family."""
+    c, s = np.cos(0.4), np.sin(0.4)
+    rotation = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    wide = {"type": "polyhedral", "dim": 3, "generators": [[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]}
+    ice = {"type": "quadratic", "dim": 3, "axis": [1, 0, 0], "form": [[1, 0], [0, 1]],
+           "complementBasis": [[0, 1, 0], [0, 0, 1]]}
+    return [([rotation, np.eye(3).tolist()], wide), ([np.diag([1.0, 2.0, 0.5]).tolist()], ice)]
+
+
+class TestVerifyProbes:
+    """The probe count printed by `verify` is that of a scalar `contains` loop."""
+
+    @staticmethod
+    def scalar_count(fam, cone, samples, seed):
+        K = cone_from_json(json.loads(Path(cone).read_text()))
+        mats = [np.array(M) for M in json.loads(Path(fam).read_text())["matrices"]]
+        pts = sample_points(K, samples, seed)
+        return sum(not contains(K, M @ p).inside for M in mats for p in pts)
+
+    def check(self, fam, cone, capsys, samples=300, seed=5):
+        rc = main(["verify", str(fam), str(cone), "--samples", str(samples), "--seed", str(seed)])
+        bad = int(capsys.readouterr().out.split(" matrices, ")[-1].split()[0])
+        assert bad == self.scalar_count(fam, cone, samples, seed)
+        return rc, bad
+
+    @pytest.mark.parametrize("name", ["ex7_6_prefix(3)", "spiral3"])
+    def test_fixture_witness(self, emit, tmp_path, capsys, name):
+        fam, dec = emit(name), tmp_path / "d.json"
+        assert main(["common", fam, "--reproducible", "--out", str(dec)]) == 0
+        cone = tmp_path / "w.json"
+        cone.write_text(json.dumps(json.loads(dec.read_text())["witness"]))
+        assert self.check(fam, cone, capsys) == (0, 0)
+
+    @pytest.mark.parametrize("planted", _planted_cones(), ids=["polyhedral", "quadratic"])
+    def test_planted_non_invariant_cone(self, tmp_path, capsys, planted):
+        mats, cone_json = planted
+        fam, cone = tmp_path / "fam.json", tmp_path / "cone.json"
+        fam.write_text(json.dumps({"dimension": 3, "matrices": mats}))
+        cone.write_text(json.dumps(cone_json))
+        rc, bad = self.check(fam, cone, capsys)
+        assert rc == 1 and bad > 0
+
+    def test_no_samples(self, tmp_path, capsys):
+        mats, cone_json = _planted_cones()[0]
+        fam, cone = tmp_path / "fam.json", tmp_path / "cone.json"
+        fam.write_text(json.dumps({"dimension": 3, "matrices": mats}))
+        cone.write_text(json.dumps(cone_json))
+        assert main(["verify", str(fam), str(cone), "--samples", "0"]) == 1
+        assert "membership probes: 0 points x 2 matrices, 0 violations" in capsys.readouterr().out
 
 
 class TestDeterminism:
@@ -388,16 +440,20 @@ def test_fixture_matrices_match_classify_kinds(emit):
 
 
 STARTUP_PROBE = """
+import json
 import sys
 from conelab import cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-ex7_2, diag_pair, spiral3, out = sys.argv[1:]
+ex7_2, diag_pair, spiral3, out, cone = sys.argv[1:]
 assert not scipy_modules(), scipy_modules()[:5]
 assert cli.main(["common", ex7_2, "--reproducible", "--out", out]) == 1
 assert cli.main(["common", diag_pair, "--reproducible", "--out", out]) == 0
+with open(out) as fh, open(cone, "w") as cf:
+    json.dump(json.load(fh)["witness"], cf)
+assert cli.main(["verify", diag_pair, cone]) == 0
 assert not scipy_modules(), scipy_modules()[:5]
 assert cli.main(["common", spiral3, "--reproducible", "--out", out]) == 0
 assert "scipy.optimize" in sys.modules
@@ -405,11 +461,13 @@ assert "scipy.optimize" in sys.modules
 
 
 def test_startup_and_2x2_route_load_no_scipy(emit, tmp_path):
-    """`import conelab.cli` and 2x2 decisions (NO and YES) import no scipy
-    module; a simultaneous-diagonalization family still answers YES,
-    loading scipy on demand."""
+    """`import conelab.cli`, 2x2 decisions (NO and YES) and `verify` of the
+    2x2 YES witness with its default probes import no scipy module; a
+    simultaneous-diagonalization family still answers YES, loading scipy on
+    demand."""
     src = str(Path(conelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, emit("ex7_2"), emit("diag_pair"), emit("spiral3"),
-                           str(tmp_path / "d.json")], capture_output=True, text=True, env=env)
+                           str(tmp_path / "d.json"), str(tmp_path / "cone.json")],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -16,6 +16,7 @@ from conelab.cones import (
     _simplex_distance,
     conic_hull,
     contains,
+    contains_rows,
     is_invariant,
     is_proper,
     nnls_distance,
@@ -100,6 +101,96 @@ class TestMembership:
             if d > 1e-9:
                 # distance must also be attained: no member is closer
                 assert d <= np.linalg.norm(v) + 1e-9
+
+
+# Cones and rows for the batch/scalar agreement test.  Entries are small
+# integers, so no two generator directions are nearly antiparallel (where
+# scipy's NNLS misreports distances) and no row is within rounding of the
+# geom_tol boundary of a polyhedral cone.
+_ints = st.integers(-4, 4)
+_scales = st.sampled_from([1e-200, 1e-5, 1.0, 3.0, 1e5, 1e200])
+
+
+@st.composite
+def _polyhedral_cases(draw):
+    d = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from(["simplicial", "wide", "line", "flat"]))
+    vec = st.lists(_ints, min_size=d, max_size=d).filter(any)
+    if shape == "simplicial":
+        G = np.array(draw(st.lists(vec, min_size=d, max_size=d)), dtype=float)
+        assume(abs(np.linalg.det(G)) > 0.5)
+    elif shape == "wide":  # more generators than the dimension
+        G = np.array(draw(st.lists(vec, min_size=d + 1, max_size=d + 4)), dtype=float)
+    elif shape == "line":  # not pointed: a generator and its negative
+        G = np.array(draw(st.lists(vec, min_size=1, max_size=d)), dtype=float)
+        G = np.vstack([G, -G[:1]])
+    else:  # rank-deficient: every generator has last coordinate 0
+        flat = st.lists(_ints, min_size=d - 1, max_size=d - 1).filter(any).map(lambda v: v + [0])
+        G = np.array(draw(st.lists(flat, min_size=1, max_size=d + 2)), dtype=float)
+    K = PolyhedralCone(d, G)
+
+    def combination(least):
+        return st.lists(st.integers(least, 3), min_size=len(G), max_size=len(G)).map(
+            lambda w: np.array(w, dtype=float) @ G)
+
+    row = st.one_of(combination(1), combination(0),  # in K; with a weight 0, often on a face
+                    st.lists(_ints, min_size=d, max_size=d).map(np.array))
+    if shape == "flat":  # off the span by far more, or far less, than geom_tol
+        row = row | st.tuples(combination(1), st.sampled_from([1e-6, 1e-12])).map(
+            lambda r_e: r_e[0] + r_e[1] * np.eye(d)[-1])
+    rows = draw(st.lists(st.tuples(row, _scales), max_size=12))
+    V = np.array([r * c for r, c in rows], dtype=float).reshape(len(rows), d)
+    return K, V
+
+
+@st.composite
+def _quadratic_cases(draw):
+    d = draw(st.integers(2, 5))
+    axis = np.array(draw(st.lists(_ints, min_size=d, max_size=d).filter(any)), dtype=float)
+    axis /= np.linalg.norm(axis)
+    B = np.linalg.qr(np.column_stack([axis, np.eye(d)]))[0][:, 1:]
+    W = np.array(draw(st.lists(_ints, min_size=(d - 1) ** 2, max_size=(d - 1) ** 2)), dtype=float)
+    W = W.reshape(d - 1, d - 1)
+    K = QuadraticCone(d, axis, W @ W.T + 0.5 * np.eye(d - 1), B)
+    n = draw(st.integers(0, 12))
+    inside = sample_points(K, n, seed=draw(st.integers(0, 99)))
+    other = np.array(draw(st.lists(st.lists(_ints, min_size=d, max_size=d), min_size=n, max_size=n)),
+                     dtype=float).reshape(n, d)
+    scales = np.array(draw(st.lists(_scales, min_size=2 * n, max_size=2 * n)))
+    return K, np.vstack([inside, other]) * scales[:, None]
+
+
+class TestContainsRows:
+    @staticmethod
+    def check(K, V):
+        flags = contains_rows(K, V)
+        assert flags.dtype == bool and flags.shape == (len(V),)
+        assert flags.tolist() == [contains(K, v).inside for v in V]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_polyhedral_cases())
+    def test_polyhedral_agrees_with_contains(self, case):
+        self.check(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_quadratic_cases())
+    def test_quadratic_agrees_with_contains(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("K", [conic_hull([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), ice_cream()],
+                             ids=["orthant", "ice-cream"])
+    def test_zero_huge_tiny_and_no_rows(self, K):
+        V = np.array([[0.0, 0.0, 0.0], [2e200, 1e200, 1e200], [1e-200, 0.0, 3e-201],
+                      [-1e200, 1e200, 0.0], [1.0, 0.5, 0.5], [-1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(K, V)
+            assert contains_rows(K, V).tolist()[:3] == [True, True, True]
+            assert contains_rows(K, np.zeros((0, 3))).shape == (0,)
+
+    def test_rejects_rows_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            contains_rows(ice_cream(), np.zeros((2, 4)))
 
 
 class TestProperness:
@@ -197,6 +288,18 @@ class TestInvariance:
         assert not rep.invariant and rep.method == "psd"
         p = np.array(rep.worst[2])
         assert contains(K, p).inside and not contains(K, A @ p).inside
+
+    @pytest.mark.parametrize("A", [np.diag([2.0, 1.0, 0.5]), [[2.0, 1, 0], [0, 2, 1], [0, 0, 2]]],
+                             ids=["invariant", "jordan"])
+    def test_quadratic_verdict_is_scale_free(self, A):
+        # Invariance under cA, c > 0, is invariance under A.  The member's
+        # norm once underflowed to 0 at 1e-300, turning the Jordan block's
+        # NO into a YES, and overflowed from 1e160 on.
+        ref = is_invariant(ice_cream(), A)
+        for k in range(-300, 301):
+            rep = is_invariant(ice_cream(), np.asarray(A) * 10.0 ** k)
+            assert rep.invariant == ref.invariant
+            assert rep.psd_margin == pytest.approx(ref.psd_margin, rel=1e-12, abs=1e-15)
 
     def test_quadratic_agrees_with_sampling_when_conclusive(self):
         rng = np.random.default_rng(31)
