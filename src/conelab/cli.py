@@ -95,17 +95,18 @@ def cmd_classify(args) -> int:
     fd = _load_family(args.family)
     tol = _tol_from_args(args)
     labels = fd.labels or tuple(f"A{i}" for i in range(len(fd.matrices)))
-    for name, M in zip(labels, fd.matrices):
-        rep = is_vandergraft(M, tol)
+    # Power-of-two scaling keeps each word's verdict and keeps its product
+    # and its norm finite; eigenvalues scale back exactly.
+    scaled = [pow2_scaled(M) for M in fd.matrices]
+    for name, (S, k) in zip(labels, scaled):
+        rep = is_vandergraft(S, tol)
         if rep.is_vandergraft:
-            print(f"{name}: Vandergraft, dominant eigenvalue {rep.dominant_eigenvalue:.9g}")
+            print(f"{name}: Vandergraft, dominant eigenvalue {math.ldexp(rep.dominant_eigenvalue, -k):.9g}")
         else:
             print(f"{name}: not Vandergraft: {rep.failed_condition}")
     total = 0
     failures = []
-    # Power-of-two scaling keeps each word's verdict and keeps its product finite.
-    scaled = [pow2_scaled(M)[0] for M in fd.matrices]
-    for word, P in enumerate_words(scaled, args.wordlen):
+    for word, P in enumerate_words([S for S, _ in scaled], args.wordlen):
         total += 1
         rep = is_vandergraft(P, tol)
         if not rep.is_vandergraft:
@@ -184,8 +185,10 @@ def cmd_verify(args) -> int:
         detail = f" worst={rep.worst}" if not rep.invariant and rep.worst else ""
         print(f"{name}: {status} (method={rep.method}, max distance {rep.max_distance:.3e}){detail}")
         ok = ok and rep.invariant
+    # Membership is scale-free and power-of-two scaling is exact, so probing
+    # 2^k M keeps every flag while its images stay finite.
     pts = sample_points(K, args.samples, seed)
-    bad = sum(int((~contains_rows(K, pts @ M.T, tol)).sum()) for M in fd.matrices)
+    bad = sum(int((~contains_rows(K, pts @ pow2_scaled(M)[0].T, tol)).sum()) for M in fd.matrices)
     print(f"membership probes: {args.samples} points x {len(fd.matrices)} matrices, {bad} violations")
     ok = ok and bad == 0
     return EXIT_YES if ok else EXIT_NO

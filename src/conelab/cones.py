@@ -363,7 +363,9 @@ def _simplex_distance(G: np.ndarray, tol: ToleranceConfig) -> float:
     """min ||G x|| over the simplex {x >= 0, sum x = 1} (columns of G).
 
     For one or two columns this is the distance from 0 to the segment
-    [g_1, g_k]; more columns solve a penalized NNLS system with scipy.
+    [g_1, g_k].  More columns use min over x >= 0 of
+    ||G x||^2 + (sum x - 1)^2 = d^2 / (1 + d^2): the NNLS distance r from
+    e_last to the cone of G with a row of ones appended gives d = r / sqrt(1 - r^2).
     """
     k = G.shape[1]
     if k <= 2:
@@ -372,17 +374,10 @@ def _simplex_distance(G: np.ndarray, tol: ToleranceConfig) -> float:
         ee = sum(x * x for x in e)
         t = min(max(-sum(x * y for x, y in zip(g, e)) / ee, 0.0), 1.0) if ee > 0.0 else 0.0
         return math.hypot(*(x + t * y for x, y in zip(g, e)))
-    from scipy.optimize import nnls
-
-    penalty = 1e6
-    A = np.vstack([G, penalty * np.ones((1, k))])
-    b = np.concatenate([np.zeros(G.shape[0]), [penalty]])
-    x, _ = nnls(A, b)
-    s = float(np.sum(x))  # residual recomputed below; scipy's rnorm is not trusted
-    if s <= 1e-12:
-        return float(np.min(np.linalg.norm(G, axis=0)))
-    x = x / s
-    return float(np.linalg.norm(G @ x))
+    e_last = np.zeros(G.shape[0] + 1)
+    e_last[-1] = 1.0
+    r = nnls_distance(np.vstack([G, np.ones((1, k))]), e_last)
+    return r / math.sqrt(1.0 - r * r)
 
 
 def is_proper(K: ConeRep, tol: ToleranceConfig = DEFAULT_TOL) -> PropernessReport:

@@ -77,10 +77,26 @@ def pow2_scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
     Scaling by a power of two is exact, so 2^k M keeps M's significands and
     results computed from it scale back exactly.  k = 0 when ||M|| is within
     a factor sqrt(2) of 1, so unit-norm members pass through unchanged.
+    A norm beyond the float range is taken as 2^e ||2^-e M||, with 2^e
+    just above the largest entry.
     """
     n = _norm(M)
-    k = -round(math.log2(n)) if n > 0 else 0
+    if math.isfinite(n):
+        k = -round(math.log2(n)) if n > 0 else 0
+    else:
+        e = math.frexp(float(np.abs(M).max()))[1]
+        k = -e - round(math.log2(_norm(np.ldexp(M, -e))))
     return np.ldexp(M, k), k
+
+
+def square_family(family) -> list[np.ndarray]:
+    """Validate a nonempty family of square matrices of one dimension."""
+    mats = [as_square_matrix(M) for M in family]
+    if not mats:
+        raise EmptyFamily("the family has no members")
+    if any(M.shape != mats[0].shape for M in mats):
+        raise DimensionMismatch("family members must share one dimension")
+    return mats
 
 
 def unit_members(family) -> list[np.ndarray]:
@@ -89,12 +105,7 @@ def unit_members(family) -> list[np.ndarray]:
     A cone is invariant under M exactly when it is invariant under cM, c > 0,
     so the decision procedures work on these unit-norm members.
     """
-    mats = [as_square_matrix(M) for M in family]
-    if not mats:
-        raise EmptyFamily("the family has no members")
-    if any(M.shape != mats[0].shape for M in mats):
-        raise DimensionMismatch("family members must share one dimension")
-    return [M / n if (n := _norm(M)) > 0 else M for M in mats]
+    return [M / n if (n := _norm(M)) > 0 else M for M in square_family(family)]
 
 
 def fix_sign(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -287,16 +298,9 @@ def enumerate_words(family: Sequence, max_len: int) -> Iterator[tuple[tuple[int,
 
     Deterministic order: by length, then lexicographically by index word.
     """
-    if not family:
-        raise DimensionMismatch("family must be nonempty")
+    mats = square_family(family)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    mats = [as_square_matrix(M) for M in family]
-    n = mats[0].shape[0]
-    for M in mats[1:]:
-        if M.shape[0] != n:
-            raise DimensionMismatch("family members must share one dimension")
-
     level = [((i,), mats[i]) for i in range(len(mats))]
     yield from level
     for _ in range(1, max_len):

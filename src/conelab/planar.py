@@ -26,7 +26,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, fix_sign, pow2_scaled, unit_members
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, fix_sign, pow2_scaled, square_family, unit_members
 
 KIND_DIAG = "DiagNonneg"
 KIND_NONDIAG = "NonDiag"
@@ -245,7 +245,7 @@ class TaggedMatrix:
 
 def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMatrix]:
     """Input family plus all non-scalar ordered products of its negative-determinant members."""
-    mats = [as_square_matrix(M) for M in family]
+    mats = square_family(family)
     tagged = [TaggedMatrix(M, f"A{i}") for i, M in enumerate(mats)]
     neg = [i for i, M in enumerate(mats)
            if float(np.linalg.det(M)) < -tol.eig_cluster_tol * float(np.linalg.norm(M)) ** 2]

@@ -47,6 +47,7 @@ from .linalg import (
     fix_sign,
     is_vandergraft,
     nullspace,
+    square_family,
     unit_members,
 )
 
@@ -118,9 +119,7 @@ def quadratic_cone_from_form(Q: np.ndarray, interior_point: np.ndarray) -> Quadr
 
 def ice_cream_cone(family, x=None, tol: ToleranceConfig = DEFAULT_TOL, similarity=None) -> Decision:
     """Lorentz-cone witness about the shared dominant eigenvector of a normal family."""
-    if len(family) == 0:
-        raise EmptyFamily("no matrices")
-    mats = [as_square_matrix(M) for M in family]
+    mats = square_family(family)
     m = mats[0].shape[0]
     if m == 1:
         raise PreconditionFailed("ambient dimension must be at least 2")
@@ -184,9 +183,7 @@ def deflate(family, x, tol: ToleranceConfig = DEFAULT_TOL) -> DeflatedFamily:
     span R^m with a smallest singular value of [E F] above
     sqrt(eig_cluster_tol), which a defective member (E meeting F) fails.
     """
-    mats = [as_square_matrix(M) for M in family]
-    if not mats:
-        raise EmptyFamily("no matrices")
+    mats = square_family(family)
     m = mats[0].shape[0]
     check_commuting(mats, tol)
     x = np.asarray(x, dtype=float)
@@ -292,9 +289,7 @@ def common_lyapunov(blocks, tol: ToleranceConfig = DEFAULT_TOL) -> LyapunovCerti
     subspaces and solved block by block; an ill-conditioned split raises
     HypothesisViolated.
     """
-    mats = [as_square_matrix(B) for B in blocks]
-    if not mats:
-        raise EmptyFamily("no blocks")
+    mats = square_family(blocks)
     check_commuting(mats, tol)
     rhos = []
     for j, B in enumerate(mats):

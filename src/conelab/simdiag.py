@@ -20,8 +20,6 @@ from . import decision as dd
 from .cones import _ZERO_NORM, PolyhedralCone, _norm, contains, is_proper, nnls_distance, prune_generators, unit
 from .decision import Decision
 from .errors import (
-    DimensionMismatch,
-    EmptyFamily,
     InternalInconsistency,
     NonVandergraftProduct,
     NotDiagonalizable,
@@ -32,11 +30,11 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    as_square_matrix,
     check_commuting,
     eigen_decompose,
     eigenvalue_clusters,
     nullspace,
+    square_family,
     unit_members,
 )
 
@@ -83,52 +81,47 @@ class DominantIndexSet:
     notes: tuple[str, ...] = ()
 
 
-def _split_by_member(basis: np.ndarray, A: np.ndarray, tol: ToleranceConfig):
-    """Split an A-invariant subspace (orthonormal complex basis) by A's eigenvalues."""
-    R = basis.conj().T @ (A @ basis)
-    cut = tol.eig_cluster_tol * np.linalg.norm(A)
-    clusters = eigenvalue_clusters(np.linalg.eigvals(R), cut)
-    if len(clusters) == 1:
-        return [(basis, clusters[0][0])]
-    out = []
-    for lam, _ in clusters:
-        ns = nullspace(R - lam * np.eye(R.shape[0]), cut)
-        if ns.shape[1] == 0:
-            raise RefinementFailed("lost an eigenspace while refining a joint block")
-        sub, _ = np.linalg.qr(basis @ ns)
-        out.append((sub, lam))
-    return out
-
-
-def _joint_tuples(mats, tol: ToleranceConfig):
-    """Joint eigenvalue tuples, one per joint eigenspace of the members."""
-    blocks = [(np.eye(mats[0].shape[0], dtype=complex), ())]
-    for A in mats:
-        blocks = [(sub, prefix + (lam,)) for basis, prefix in blocks
-                  for sub, lam in _split_by_member(basis, A, tol)]
-    return [tup for _, tup in blocks]
+def _joint_blocks(stack: np.ndarray, c: np.ndarray, tol: ToleranceConfig):
+    """(eigenvalue row, orthonormal basis) of each real eigenspace of
+    B = sum c_j A_j and of one twin of each complex pair, the one whose first
+    complex eigenvalue lies in the upper half-plane.  None when some member is
+    not scalar on one of them, that is when B merges two joint eigenspaces."""
+    B = np.tensordot(c, stack, axes=1)
+    cut = tol.eig_cluster_tol * _norm(B)
+    values = np.linalg.eigvals(B)
+    values = np.where(np.abs(values.imag) <= cut, values.real, values)
+    blocks = []
+    for beta, size in eigenvalue_clusters(values[values.imag >= 0], cut):
+        E = nullspace(B - (beta if beta.imag else beta.real) * np.eye(len(B)), cut)
+        if E.shape[1] != size:
+            return None
+        R = E.conj().T @ stack @ E
+        lam = np.trace(R, axis1=1, axis2=2) / size
+        if np.any(np.linalg.norm(R - lam[:, None, None] * np.eye(size), axis=(1, 2)) > tol.eig_cluster_tol):
+            return None
+        if beta.imag and next((z.imag for z in lam if abs(z.imag) > tol.eig_cluster_tol), 0.0) < 0:
+            lam, E = lam.conj(), E.conj()
+        blocks.append((lam, E))
+    return blocks
 
 
 def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 0) -> SimDiagForm:
     """Joint diagonal form of a commuting family of diagonalizable members.
 
-    The whole space is split by each member's eigenvalues in turn, so the
-    blocks end as the joint eigenspaces, one per tuple of member eigenvalues;
-    every split keeps eigenvalues more than the clustering tolerance apart,
-    so no two tuples coincide.  A block's basis is the null space of the
-    stacked `A_j - lambda_j I`: real for a real tuple, the exact conjugate of
-    its partner's for a complex one.  The reference eigenvalues `b` are the
-    plain row sums of the table; only if two of them coincide are up to
-    eight positive combinations drawn from `seed`, so the form depends on
-    `seed` only then.  Eigenvalue comparisons are absolute: they assume
+    The joint eigenspaces are the eigenspaces of any combination
+    B = sum c_j A_j whose reference eigenvalues b_i = sum_j c_j lambda_ij are
+    pairwise distinct.  The plain sum comes first, because it does not
+    depend on the member order; only if it merges two joint eigenspaces
+    (some member is not scalar on one of B's eigenspaces) are up to eight
+    positive combinations drawn from `seed`, so the form depends on `seed`
+    only then.  A member's eigenvalue on a block is its mean diagonal entry
+    there, and each member's values are snapped to one per cluster, so block
+    order does not depend on rounding.  A complex block is followed by its
+    exact conjugate.  Eigenvalue comparisons are absolute: they assume
     members of unit norm, which `decide_simdiag` supplies.
     """
-    if len(family) == 0:
-        raise EmptyFamily("no matrices to diagonalize")
-    mats = [as_square_matrix(M) for M in family]
+    mats = square_family(family)
     m = mats[0].shape[0]
-    if any(M.shape[0] != m for M in mats):
-        raise DimensionMismatch("family members must share one dimension")
     check_commuting(mats, tol)
     for j, M in enumerate(mats):
         spec = eigen_decompose(M, tol)
@@ -141,58 +134,36 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
         im = 0.0 if abs(z.imag) <= cut else z.imag
         return complex(re, im)
 
-    tuples = [tuple(canon(z) for z in tup) for tup in _joint_tuples(mats, tol)]
-    q = len(tuples)
-
-    # Reference eigenvalues must be pairwise distinct.  The plain sum comes
-    # first because it does not depend on the member order; draw only if it fails.
     def combinations():
         yield np.ones(len(mats))
         rng = np.random.default_rng(seed)
         for _ in range(_MAX_DRAWS):
             yield rng.uniform(0.5, 1.5, size=len(mats))
 
-    def separates(c) -> bool:
-        cand = np.array([sum(cj * z for cj, z in zip(c, tup)) for tup in tuples])
-        return all(abs(cand[i] - cand[j]) > cut * float(np.max(np.abs(cand)))
-                   for i in range(q) for j in range(i + 1, q))
-
-    chosen = next((c for c in combinations() if separates(c)), None)
-    if chosen is None:
+    stack = np.array(mats)
+    for chosen in combinations():
+        blocks = _joint_blocks(stack, chosen, tol)
+        if blocks is not None:
+            break
+    else:
         raise RefinementFailed("no drawn combination separates the joint blocks")
 
-    # Canonical bases per block: real blocks from a real stacked nullspace,
-    # complex blocks paired with their exact conjugates.
-    order = sorted(range(q), key=lambda i: tuple((z.real, z.imag) for z in tuples[i]))
+    rows = np.array([lam for lam, _ in blocks], dtype=complex)
+    for col in rows.T:
+        means = np.array([z for z, _ in eigenvalue_clusters(col, cut)])
+        col[:] = means[np.argmin(np.abs(col[:, None] - means), axis=1)]
+    # A complex pair sorts at the key of its conjugate twin, which sorts first.
     entries = []
-    used = set()
-    for i in order:
-        if i in used:
-            continue
-        tup = tuples[i]
-        real_block = all(z.imag == 0.0 for z in tup)
-        if real_block:
-            stack = np.vstack([M - z.real * np.eye(m) for M, z in zip(mats, tup)])
-            basis = nullspace(stack, tol.rank_tol)
-            entries.append((tup, np.real(basis), True, None))
-            used.add(i)
+    for tup, E in sorted(((tuple(map(canon, row)), E) for row, (_, E) in zip(rows, blocks)),
+                         key=lambda p: tuple((z.real, -z.imag) for z in p[0])):
+        if all(z.imag == 0.0 for z in tup):
+            entries.append((tup, E, True, None))
         else:
-            rep = tup if next(z.imag for z in tup if z.imag != 0.0) > 0 else tuple(np.conj(z) for z in tup)
-            partner_idx = next(
-                (k for k in order if k not in used and k != i
-                 and all(abs(np.conj(a) - bb) <= cut for a, bb in zip(tuples[i], tuples[k]))),
-                None,
-            )
-            if partner_idx is None:
-                raise RefinementFailed("complex joint block without a conjugate partner")
-            stack = np.vstack([M.astype(complex) - z * np.eye(m) for M, z in zip(mats, rep)])
-            basis = nullspace(stack, tol.rank_tol)
-            entries.append((rep, basis, False, len(entries) + 1))
-            entries.append((tuple(np.conj(z) for z in rep), np.conj(basis), False, len(entries) - 1))
-            used.update({i, partner_idx})
+            k = len(entries)
+            entries += [(tup, E, False, k + 1), (tuple(np.conj(tup)), np.conj(E), False, k)]
 
     sizes = tuple(int(e[1].shape[1]) for e in entries)
-    if sum(sizes) != m or any(s == 0 for s in sizes):
+    if sum(sizes) != m:
         raise RefinementFailed("joint eigenspaces do not span the ambient space")
     S = np.column_stack([e[1] for e in entries]).astype(complex)
     table = np.array([e[0] for e in entries], dtype=complex)

@@ -99,6 +99,14 @@ class TestClassify:
         assert "A0: Vandergraft, dominant eigenvalue 3e+200" in out
         assert "all 4 words are Vandergraft" in out
 
+    def test_member_whose_norm_overflows(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dimension": 2, "matrices": [[[1.5e308, 1.5e308], [0, 1.5e308]]]}))
+        assert main(["classify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "A0: Vandergraft, dominant eigenvalue 1.5e+308" in out
+        assert "all 4 words are Vandergraft" in out
+
 
 class TestVerify:
     def test_orthant_identity(self, tmp_path):
@@ -126,6 +134,14 @@ class TestVerify:
         triple.write_text(dumps(family_to_json(ex7_2())))
         assert main(["verify", str(triple), str(cone)]) == 1
         assert "VIOLATION" in capsys.readouterr().out
+
+    def test_probe_images_near_the_float_limit(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 2, "matrices": [[[1e308, 1e308], [0, 1e308]]]}))
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"type": "polyhedral", "dim": 2, "generators": [[1, 0], [0, 1]]}))
+        assert main(["verify", str(fam), str(cone)]) == 0
+        assert "100 points x 1 matrices, 0 violations" in capsys.readouterr().out
 
     def test_dimension_mismatch(self, tmp_path):
         fam = tmp_path / "fam.json"

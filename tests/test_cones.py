@@ -492,3 +492,22 @@ class TestNnlsClosedForm:
                 assert abs(dist - ref) <= 1e-15
             if not ref / 10 <= geom_tol <= 10 * ref:
                 assert (dist > geom_tol) == (ref > geom_tol)
+
+    def test_simplex_distance_of_three_generators(self):
+        """Columns [g, h, h] with h nearly antiparallel to g take the NNLS
+        path; their simplex distance is the segment distance, computed
+        exactly in rational arithmetic."""
+        rng = np.random.default_rng(78)
+        worst = 0.0
+        for _ in range(600):
+            d = int(rng.integers(2, 6))
+            g = rng.normal(size=d)
+            g /= np.linalg.norm(g)
+            u = rng.normal(size=d)
+            u -= (u @ g) * g
+            u /= np.linalg.norm(u)
+            sine = 10 ** rng.uniform(-15, -5)
+            h = -math.sqrt(1.0 - sine * sine) * g + sine * u
+            G = np.column_stack([g, h, h])
+            worst = max(worst, abs(_simplex_distance(G, DEFAULT_TOL) - _exact_segment_distance(G[:, :2])))
+        assert worst <= 1e-14

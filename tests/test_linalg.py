@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _gen import jordan_at_rho
-from conelab.errors import DimensionMismatch, DimensionTooLarge
+from conelab.errors import DimensionMismatch, DimensionTooLarge, EmptyFamily
 from conelab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -10,8 +10,11 @@ from conelab.linalg import (
     eigenvalue_clusters,
     enumerate_words,
     is_vandergraft,
+    unit_members,
 )
-from conelab.planar import KIND_NOT, classify2
+from conelab.planar import KIND_NOT, classify2, extended_family
+from conelab.shared_dominant import common_lyapunov, deflate, ice_cream_cone
+from conelab.simdiag import simultaneous_diagonalize
 
 
 def eig_map(spectrum):
@@ -207,3 +210,20 @@ def test_eigenvalue_clusters_count_each_value_once():
 def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(eig_cluster_tol=0.0)
+
+
+@pytest.mark.parametrize("validate", [
+    unit_members,
+    lambda fam: list(enumerate_words(fam, 2)),
+    simultaneous_diagonalize,
+    extended_family,
+    lambda fam: ice_cream_cone(fam, x=np.eye(3)[0]),
+    lambda fam: deflate(fam, np.eye(3)[0]),
+    common_lyapunov,
+], ids=["unit_members", "enumerate_words", "simultaneous_diagonalize", "extended_family",
+        "ice_cream_cone", "deflate", "common_lyapunov"])
+def test_every_family_entry_point_validates_the_family(validate):
+    with pytest.raises(EmptyFamily):
+        validate([])
+    with pytest.raises(DimensionMismatch):
+        validate([np.diag([2.0, 1.0]), np.diag([2.0, 1.0, 0.5])])
