@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "2x2", "simdiag", "shared-dominant"], default="auto")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bound", type=int, default=8, help="exponent-sum bound for the dominant-block search")
-    p.add_argument("--wordlen", type=int, default=12, help="closure word length for witness construction")
+    p.add_argument("--wordlen", type=int, default=12,
+                   help="closure word length for the witness, used only when no single dominant block bounds a tail")
     p.add_argument("--out", default=None, help="write the decision file here instead of stdout")
     p.add_argument("--reproducible", action="store_true", help="omit the timestamp field")
     _add_tol_args(p)

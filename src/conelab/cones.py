@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput
-from .linalg import DEFAULT_TOL, ToleranceConfig, _norm, as_square_matrix, matrix_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, _norm, as_square_matrix, matrix_rank, pow2_scaled
 
 # Membership treats vectors shorter than 2^30 units of the smallest subnormal
 # as the zero vector: their direction has fewer than 30 significant bits.
@@ -502,16 +502,22 @@ def is_invariant(K: ConeRep, A, tol: ToleranceConfig = DEFAULT_TOL) -> Invarianc
     if isinstance(K, QuadraticCone):
         return _quad_invariance(K, M, tol)
 
+    # With M's largest entry outside 2^-400..2^400 the images could overflow
+    # or underflow; they are formed from 2^k M, and the distances scaled back.
+    m = max(map(abs, M.ravel().tolist()))
+    S, k = pow2_scaled(M) if m and not 2.0 ** -400 < m < 2.0 ** 400 else (M, 0)
     worst = None
     max_dist = 0.0
     ok = True
     for idx, g in enumerate(K.generators):
-        res = _polyhedral_membership(K, M @ g, tol)
+        res = _polyhedral_membership(K, S @ g, tol)
         if res.distance > max_dist:
             max_dist = res.distance
             worst = ("generator", idx, g.tolist())
         if not res.inside:
             ok = False
+    with np.errstate(over="ignore"):
+        max_dist = float(np.ldexp(max_dist, -k))
     return InvarianceReport(ok, max_dist, "generators", worst=worst)
 
 

@@ -6,12 +6,14 @@ the exponent tuples, one exponent sum at a time, collect the tie-broken
 index of the dominant diagonal block; a common invariant proper cone exists
 exactly when the collected rows of the table are entrywise nonnegative.
 The constructive direction builds a polyhedral cone from the dominant real
-columns of S and closes it under the family up to a word-length bound,
-reporting a truncation defect.
+columns of S and a polyhedral gauge ball on each remaining column, which is
+invariant by construction when one dominant block bounds each tail; only
+otherwise does closing it under the family up to a word-length bound matter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,7 @@ from .linalg import (
 )
 
 _MAX_DRAWS = 8
+_MAX_SIDES = 256  # the largest N-gon a complex tail gets
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,7 @@ class SimDiagForm:
     lambda_table: np.ndarray       # (q, n) complex, row i = eigenvalues of block i
     b: np.ndarray                  # (q,) reference eigenvalues of the witness combination
     family: tuple[np.ndarray, ...]
-    block_real: tuple[bool, ...]
-    conj_partner: tuple[int | None, ...]
+    conj_partner: tuple[int | None, ...]  # None for a real block
 
     @property
     def dim(self) -> int:
@@ -84,7 +86,8 @@ class DominantIndexSet:
 def _joint_blocks(stack: np.ndarray, c: np.ndarray, tol: ToleranceConfig):
     """(eigenvalue row, orthonormal basis) of each real eigenspace of
     B = sum c_j A_j and of one twin of each complex pair, the one whose first
-    complex eigenvalue lies in the upper half-plane.  None when some member is
+    complex eigenvalue lies in the upper half-plane.  A one-column basis has
+    its largest-modulus entry real and positive.  None when some member is
     not scalar on one of them, that is when B merges two joint eigenspaces."""
     B = np.tensordot(c, stack, axes=1)
     cut = tol.eig_cluster_tol * _norm(B)
@@ -101,6 +104,9 @@ def _joint_blocks(stack: np.ndarray, c: np.ndarray, tol: ToleranceConfig):
             return None
         if beta.imag and next((z.imag for z in lam if abs(z.imag) > tol.eig_cluster_tol), 0.0) < 0:
             lam, E = lam.conj(), E.conj()
+        if size == 1:  # one sign and phase: the largest-modulus entry is real and positive
+            z = E[np.argmax(np.abs(E)), 0]
+            E = E * (abs(z) / z)
         blocks.append((lam, E))
     return blocks
 
@@ -157,10 +163,10 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     for tup, E in sorted(((tuple(map(canon, row)), E) for row, (_, E) in zip(rows, blocks)),
                          key=lambda p: tuple((z.real, -z.imag) for z in p[0])):
         if all(z.imag == 0.0 for z in tup):
-            entries.append((tup, E, True, None))
+            entries.append((tup, E, None))
         else:
             k = len(entries)
-            entries += [(tup, E, False, k + 1), (tuple(np.conj(tup)), np.conj(E), False, k)]
+            entries += [(tup, E, k + 1), (tuple(np.conj(tup)), np.conj(E), k)]
 
     sizes = tuple(int(e[1].shape[1]) for e in entries)
     if sum(sizes) != m:
@@ -169,8 +175,7 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     table = np.array([e[0] for e in entries], dtype=complex)
     b_final = np.array([sum(cj * z for cj, z in zip(chosen, row)) for row in table])
 
-    form = SimDiagForm(S, sizes, table, b_final, tuple(mats),
-                       tuple(e[2] for e in entries), tuple(e[3] for e in entries))
+    form = SimDiagForm(S, sizes, table, b_final, tuple(mats), tuple(e[2] for e in entries))
     for j, M in enumerate(mats):
         err = np.linalg.norm(form.reconstruct(j) - M)
         if err > 1e-6 * np.linalg.norm(M):
@@ -273,62 +278,59 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
                            tol: ToleranceConfig = DEFAULT_TOL,
                            dominant: DominantIndexSet | None = None,
                            bound: int = 8):
-    """Truncated polyhedral witness cone plus its certificates.
+    """Polyhedral witness cone from head/tail gauge seeds, plus its certificates.
 
-    Seeds: the real columns spanning the dominant blocks, and the sum f of
-    those columns added to each remaining basis vector (real columns, then
-    real/imaginary parts of conjugate-pair columns).  The seed set is closed
-    under the family up to `word_len` applications, normalizing and pruning.
-    Returns (cone, report) where the report carries the pointedness
-    certificate and the invariance defect of the truncation.
+    The head is the real columns of the dominant blocks.  Each tail (a real
+    column, or a complex column's Re/Im pair) is attached to the dominant
+    block i that minimises r = max_j |lambda_kj| / lambda_ij.  The seeds are
+    the head columns and e_i + v, e_i the sum of block i's columns, for each
+    vertex v of the tail's ball: the regular N-gon cos(2 pi a/N) Re +
+    sin(2 pi a/N) Im, N = 2 (+-Re) for a real tail and max(3, ceil(pi /
+    arccos r)) for a complex one.  A member maps e_i + v to lambda_ij e_i + A v
+    and A v into |lambda_kj| / cos(pi/N) <= lambda_ij times the ball, so the
+    seed cone is invariant when every r <= 1 (r < 1 if complex), and the
+    closure under the family, up to `word_len` applications, adds nothing
+    (method "gauge").  Otherwise every tail rides on the whole head, a complex
+    one with N = 8, and the closure does the rest (method "closure").
+    Returns (cone, report) with the pointedness certificate and the defect.
     """
     if dominant is None:
         dominant = dominant_index_set(form, bound, tol)
     P = sorted(dominant.indices)
+    if any(form.conj_partner[i] is not None for i in P):
+        raise InternalInconsistency("dominant blocks must carry real eigenvalue rows")
     offsets = np.cumsum((0,) + form.block_sizes)
-    for i in P:
-        if not form.block_real[i]:
-            raise InternalInconsistency("dominant blocks must carry real eigenvalue rows")
-
-    plus_cols = [np.real(form.S[:, k]) for i in P for k in range(offsets[i], offsets[i + 1])]
-    minus_cols, pair_cols = [], []
-    seen_pairs = set()
-    for i in range(form.num_blocks):
-        if i in P:
-            continue
-        if form.block_real[i]:
-            minus_cols.extend(np.real(form.S[:, k]) for k in range(offsets[i], offsets[i + 1]))
-        else:
-            partner = form.conj_partner[i]
-            if (partner, i) in seen_pairs:
-                continue
-            seen_pairs.add((i, partner))
-            for k in range(offsets[i], offsets[i + 1]):
-                pair_cols.append((np.real(form.S[:, k]), np.imag(form.S[:, k])))
-
-    f = np.sum(plus_cols, axis=0)
-    basis_cols = plus_cols + minus_cols + [w for uv in pair_cols for w in uv]
-    F = np.column_stack(basis_cols)
-    p = len(plus_cols)
-    Finv = np.linalg.inv(F)
-
-    seeds = [(unit(c), "full") for c in plus_cols]
-    seeds += [(unit(f + c), "full") for c in minus_cols]
-    seeds += [(unit(f + w), "half") for uv in pair_cols for w in uv]
+    columns = [np.real(form.S[:, offsets[i]:offsets[i + 1]]) for i in P]
+    real = np.array([p is None for p in form.conj_partner])
+    mod = np.abs(form.lambda_table)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(mod == 0.0, 0.0, mod / np.maximum(form.lambda_table[P].real, 0.0)).max(axis=2)
+        sides = np.pi / np.arccos(np.minimum(ratios.min(axis=1), 1.0))  # inf when r >= 1
+    bounded = np.where(real, ratios.min(axis=1) <= 1.0, sides <= _MAX_SIDES)
+    tails = [i for i, p in enumerate(form.conj_partner) if i not in P and (p is None or p > i)]
+    # On one head, the closure's long words would amplify rounding in the
+    # other heads' zero coordinates and break the pointedness certificate.
+    whole = None if bounded[tails].all() else np.hstack(columns).sum(axis=1)
+    basis = [c for block in columns for c in block.T]
+    seeds = list(basis)
+    for i in tails:
+        e = columns[int(np.argmin(ratios[i]))].sum(axis=1) if whole is None else whole
+        n = 2 if real[i] else (max(3, math.ceil(sides[i])) if bounded[i] else 8)
+        for s in form.S[:, offsets[i]:offsets[i + 1]].T:
+            basis += [s.real] if real[i] else [s.real, s.imag]
+            seeds += [e + math.cos(2 * math.pi * a / n) * s.real + math.sin(2 * math.pi * a / n) * s.imag
+                      for a in range(n)]
 
     gens: list[np.ndarray] = []
-    tags: list[str] = []
 
     def absorbed(v):
-        if not gens:
-            return False
-        return nnls_distance(np.array(gens).T, v) <= tol.geom_tol
+        return bool(gens) and nnls_distance(np.array(gens).T, v) <= tol.geom_tol
 
-    for v, t in seeds:
+    for v in map(unit, seeds):
         if not absorbed(v):
             gens.append(v)
-            tags.append(t)
-    frontier = list(range(len(gens)))
+    num_seeds = len(gens)
+    frontier = list(range(num_seeds))
     for _ in range(word_len):
         fresh = []
         for A in form.family:
@@ -339,35 +341,24 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
                 w = unit(w)
                 if not absorbed(w):
                     gens.append(w)
-                    tags.append(tags[idx])
                     fresh.append(len(gens) - 1)
         if not fresh:
             break
         frontier = fresh
 
-    # Check every generator before pruning, which drops the tags.
-    slack = tol.geom_tol * (1.0 + float(np.linalg.norm(Finv, 2)))
-    for g, t in zip(gens, tags):
-        alpha = Finv @ g
-        head, tail = alpha[:p], alpha[p:]
-        factor = 1.0 if t == "full" else 0.5
-        if np.min(head, initial=0.0) < -slack or np.sum(head) < factor * np.sum(np.abs(tail)) - slack:
-            raise PointednessCertificateFailed(
-                f"coordinate inequality violated on a generator (tag {t})")
-
     K = prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
-    defect = 0.0
-    for A in form.family:
-        for g in K.generators:
-            defect = max(defect, contains(K, A @ g, tol).distance)
+    # Every generator's head coordinates are nonnegative with a positive sum,
+    # so no nonzero x has both x and -x in K.
+    Finv = np.linalg.inv(np.column_stack(basis))
+    slack = tol.geom_tol * (1.0 + float(np.linalg.norm(Finv, 2)))
+    heads = K.generators @ Finv[:sum(c.shape[1] for c in columns)].T
+    if heads.min() < -slack or heads.sum(axis=1).min() <= slack:
+        raise PointednessCertificateFailed("a generator's head coordinates are not nonnegative with a positive sum")
+    defect = max(contains(K, A @ g, tol).distance for A in form.family for g in K.generators)
     if not is_proper(K, tol):
-        raise PointednessCertificateFailed("truncated cone failed the properness oracle")
-    report = {
-        "defect": defect,
-        "word_len": word_len,
-        "num_generators": K.num_generators,
-        "pointedness": "verified",
-    }
+        raise PointednessCertificateFailed("witness cone failed the properness oracle")
+    report = {"defect": defect, "word_len": word_len, "num_generators": K.num_generators,
+              "pointedness": "verified", "method": "gauge" if len(gens) == num_seeds else "closure"}
     return K, report
 
 

@@ -143,6 +143,14 @@ class TestVerify:
         assert main(["verify", str(fam), str(cone)]) == 0
         assert "100 points x 1 matrices, 0 violations" in capsys.readouterr().out
 
+    def test_generator_images_near_the_float_limit(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 2, "matrices": [[[1.5e308, 1.5e308], [0, 1.5e308]]]}))
+        cone = tmp_path / "cone.json"
+        cone.write_text(json.dumps({"type": "polyhedral", "dim": 2, "generators": [[1, 0], [1, 1]]}))
+        assert main(["verify", str(fam), str(cone)]) == 0
+        assert "A0: ok (method=generators, max distance 0.000e+00)" in capsys.readouterr().out
+
     def test_dimension_mismatch(self, tmp_path):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"dimension": 3, "matrices": [np.eye(3).tolist()]}))

@@ -311,3 +311,43 @@ class TestConstruction:
         assert is_proper(K)
         rep = is_invariant(K, M)
         assert rep.max_distance < 1e-6
+
+
+def contractive(s):
+    return contractive_commuting_blocks(np.random.default_rng(s), 3 + s % 3, 2 + s % 2)
+
+
+class TestGaugeWitness:
+    # a single dominant block bounds every tail of these families, whose
+    # witnesses the word-length-12 closure left non-invariant
+    @pytest.mark.parametrize("s", [74, 194, 252, 274, 287, 704, 974, 1246, 1304, 1342, 1816, 1864,
+                                   2066, 2316, 2555])
+    def test_invariant_by_construction(self, s):
+        fam = contractive(s)
+        d = decide_simdiag(fam, seed=1729)
+        assert d.answer == "yes"
+        assert d.certificate["construction"]["method"] == "gauge"
+        for M in fam:
+            assert is_invariant(d.witness, M).invariant
+
+    def test_tail_without_a_single_bounding_head_takes_the_closure(self):
+        d = decide_simdiag(contractive(2764), seed=1729)
+        assert d.answer == "yes"
+        assert d.certificate["construction"]["method"] == "closure"
+
+    def test_near_unit_complex_ratio_keeps_the_polygon_small(self):
+        # r = 0.999999 would need a 2222-gon; such a tail takes the closure
+        M = np.zeros((3, 3))
+        M[0, 0] = 1.0
+        M[1:, 1:] = 0.999999 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+        K, report = construct_simdiag_cone(simultaneous_diagonalize([M]))
+        assert report["method"] == "closure"
+        assert K.num_generators < 256
+
+    @pytest.mark.parametrize("s", [30, 102, 229])
+    def test_witness_does_not_depend_on_member_order(self, s):
+        fam = contractive(s)
+        G = decide_simdiag(fam, seed=1729).witness.generators
+        R = decide_simdiag(fam[::-1], seed=1729).witness.generators
+        assert G.shape == R.shape
+        assert np.allclose(G, R, atol=1e-9)
