@@ -9,7 +9,9 @@ or onto a pointed cone in the plane are answered in closed form, so the 2x2
 route does not load scipy; scipy is imported only by the calls that need it.
 Invariance is decided exactly for both shapes: by the images of the
 generators, and for quadratic cones by an S-lemma certificate plus a
-dual-cone test (see `is_invariant`).
+dual-cone test (see `is_invariant`).  A generator image within rounding of
+zero (||A g|| < 8 d eps ||A||) counts as the zero vector, since its computed
+direction is noise.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, _norm, as_square_matrix, matri
 # Membership treats vectors shorter than 2^30 units of the smallest subnormal
 # as the zero vector: their direction has fewer than 30 significant bits.
 _ZERO_NORM = 2.0 ** -1044
+# A generator image of A with ||A g|| < this times d ||A|| is zero up to rounding.
+_ZERO_IMAGE = 8 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -226,9 +230,10 @@ def nnls_distance(A: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(A @ x - b))
 
 
-def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig) -> MembershipResult:
+def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig,
+                           zero: float = _ZERO_NORM) -> MembershipResult:
     nv = _norm(v)
-    if nv < _ZERO_NORM:
+    if nv < zero:
         return MembershipResult(True, 0.0)
     # Membership in a cone is scale-invariant; working on the unit vector
     # keeps the flag independent of the input scale.
@@ -492,6 +497,8 @@ def is_invariant(K: ConeRep, A, tol: ToleranceConfig = DEFAULT_TOL) -> Invarianc
     """Does A map K into itself?
 
     Polyhedral: generator-mapping test (images of generators stay in K).
+    An image with ||A g|| < 8 d eps ||A|| is rounding-level: its direction
+    carries no information, so it counts as the zero vector, which is in K.
     Quadratic (method "psd", exact): some t >= 0 makes tQ - A^T Q A positive
     semidefinite and A^T axis lies in the dual cone.  A YES records t as
     `multiplier`; a NO names a point of K whose image leaves K.
@@ -506,11 +513,12 @@ def is_invariant(K: ConeRep, A, tol: ToleranceConfig = DEFAULT_TOL) -> Invarianc
     # or underflow; they are formed from 2^k M, and the distances scaled back.
     m = max(map(abs, M.ravel().tolist()))
     S, k = pow2_scaled(M) if m and not 2.0 ** -400 < m < 2.0 ** 400 else (M, 0)
+    zero = max(_ZERO_NORM, _ZERO_IMAGE * K.dim * float(np.linalg.norm(S)))
     worst = None
     max_dist = 0.0
     ok = True
     for idx, g in enumerate(K.generators):
-        res = _polyhedral_membership(K, S @ g, tol)
+        res = _polyhedral_membership(K, S @ g, tol, zero)
         if res.distance > max_dist:
             max_dist = res.distance
             worst = ("generator", idx, g.tolist())

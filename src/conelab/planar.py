@@ -8,6 +8,15 @@ sharing one dominant eigenline, necessary conditions on the extended family
 dominant lines with consistent orientation, dominant and non-dominant
 eigenlines separated on the projective circle), and a candidate "big cone"
 whose properness and avoidance conditions settle the general case.
+
+A decision classifies each matrix of the extended family once, in
+`necessary_conditions`, and its later steps read those frames from the
+report; only the single-matrix helpers they call (`associated_sign`,
+`is_invariant_cone_2x2`) classify their argument again.  The two-line
+candidate is decided by that single-matrix catalog.  Every YES witness is
+re-checked member by member with `cones.is_invariant`, which counts a
+generator image within rounding of zero (||A g|| < 8 d eps ||A||) as the
+zero vector, so a singular member whose kernel holds an edge passes.
 """
 
 from __future__ import annotations
@@ -246,6 +255,8 @@ class TaggedMatrix:
 def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMatrix]:
     """Input family plus all non-scalar ordered products of its negative-determinant members."""
     mats = square_family(family)
+    if mats[0].shape[0] != 2:
+        raise PreconditionFailed("the 2x2 procedures need 2x2 matrices")
     tagged = [TaggedMatrix(M, f"A{i}") for i, M in enumerate(mats)]
     neg = [i for i, M in enumerate(mats)
            if float(np.linalg.det(M)) < -tol.eig_cluster_tol * float(np.linalg.norm(M)) ** 2]
@@ -273,9 +284,10 @@ class NecessaryReport:
     evidence: dict = field(default_factory=dict)
     arc: tuple[float, float] | None = None
     points: tuple[LinePoint, ...] = ()
-    nondiag_lines: tuple[float, ...] = ()
+    # (angle, first member on the line, its frame) per non-diagonalizable dominant line
+    nondiag_lines: tuple[tuple[float, TaggedMatrix, EigenFrame2], ...] = ()
     extended: tuple[TaggedMatrix, ...] = ()
-    frames: tuple[EigenFrame2, ...] = ()
+    frames: tuple[EigenFrame2, ...] = ()    # one per extended member, members first
     close_calls: tuple[str, ...] = ()
 
     @property
@@ -294,17 +306,10 @@ def _orientation_groups(ext, frames, tol):
         grp = next((g for g in lines if _angles_equal(g["angle"], ang, tol.geom_tol)), None)
         if grp is None:
             w = _perp(fr.u1)
-            lines.append({
-                "angle": ang, "u": fr.u1, "ref_label": tm.label,
-                "ref_matrix": tm.matrix,
-                "sign": associated_sign(tm.matrix, fr.u1, w, tol),
-                "probe": w, "members": [tm.label],
-            })
-        else:
-            sgn = associated_sign(tm.matrix, grp["u"], grp["probe"], tol)
-            grp["members"].append(tm.label)
-            if sgn != grp["sign"] and conflict is None:
-                conflict = (grp["ref_label"], tm.label)
+            lines.append({"angle": ang, "rep": tm, "frame": fr, "probe": w,
+                          "sign": associated_sign(tm.matrix, fr.u1, w, tol)})
+        elif conflict is None and associated_sign(tm.matrix, grp["frame"].u1, grp["probe"], tol) != grp["sign"]:
+            conflict = (grp["rep"].label, tm.label)
     return lines, conflict
 
 
@@ -374,24 +379,21 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
     """The three necessary conditions on the extended family, in order."""
     ext = extended_family(family, tol)
     frames = [classify2(tm.matrix, tol) for tm in ext]
+    known = {"extended": tuple(ext), "frames": tuple(frames)}
 
     bad = next((tm.label for tm, fr in zip(ext, frames) if fr.kind == KIND_NOT), None)
     if bad is not None:
-        return NecessaryReport(dd.NOT_VANDERGRAFT_IN_A1,
-                               {"member": bad}, extended=tuple(ext), frames=tuple(frames))
+        return NecessaryReport(dd.NOT_VANDERGRAFT_IN_A1, {"member": bad}, **known)
 
     lines, conflict = _orientation_groups(ext, frames, tol)
     if len(lines) > 2:
-        return NecessaryReport(dd.TOO_MANY_NONDIAG_LINES,
-                               {"lines": [g["angle"] for g in lines]},
-                               extended=tuple(ext), frames=tuple(frames))
+        return NecessaryReport(dd.TOO_MANY_NONDIAG_LINES, {"lines": [g["angle"] for g in lines]}, **known)
     if conflict is not None:
-        return NecessaryReport(dd.ORIENTATION_CONFLICT,
-                               {"members": list(conflict)},
-                               extended=tuple(ext), frames=tuple(frames))
+        return NecessaryReport(dd.ORIENTATION_CONFLICT, {"members": list(conflict)}, **known)
 
     points = _collect_line_points(ext, frames, tol)
     arc, close = _separation_arc(points, tol)
+    known.update(points=tuple(points), nondiag_lines=tuple((g["angle"], g["rep"], g["frame"]) for g in lines))
     if arc is None:
         ev = {
             "dominant_angles": [p.angle for p in points if p.dominant_for],
@@ -399,13 +401,8 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
         }
         if close:
             ev["conflict"] = close
-        return NecessaryReport(dd.SEPARATION_FAILS, ev,
-                               points=tuple(points), extended=tuple(ext), frames=tuple(frames),
-                               nondiag_lines=tuple(g["angle"] for g in lines))
-    return NecessaryReport(None, {}, arc=arc, points=tuple(points),
-                           extended=tuple(ext), frames=tuple(frames),
-                           nondiag_lines=tuple(g["angle"] for g in lines),
-                           close_calls=tuple(close))
+        return NecessaryReport(dd.SEPARATION_FAILS, ev, **known)
+    return NecessaryReport(None, {}, arc=arc, close_calls=tuple(close), **known)
 
 
 def _proportional(M1: np.ndarray, M2: np.ndarray, tol: float) -> bool:
@@ -467,19 +464,30 @@ def _shrink_cone(family, base_u, side_vec, extra_gens_of, avoid_angles, tol):
     return None, None
 
 
+def _shares_dominant_line(frames, tol: ToleranceConfig) -> bool:
+    angles = [line_angle(fr.u1) for fr in frames if not fr.is_scalar]
+    return all(_angles_equal(angles[0], a, tol.geom_tol) for a in angles)
+
+
 def decide_shared_dominant_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
     """Exact decision for 2x2 Vandergraft families sharing a dominant eigenline."""
     mats = unit_members(family)
-    frames = [classify2(M, tol) for M in mats]
+    report = necessary_conditions(mats, tol)
+    frames = report.frames[:len(mats)]
     if any(fr.kind == KIND_NOT for fr in frames):
         raise PreconditionFailed("family members must all be Vandergraft matrices")
-    live = [(i, fr) for i, fr in enumerate(frames) if not fr.is_scalar]
-    if not live:
+    if all(fr.is_scalar for fr in frames):
         return _yes(mats, conic_hull([[1, 0], [0, 1]], tol=tol), tol, "scalar family; any proper cone works")
-    angles = [line_angle(fr.u1) for _, fr in live]
-    if not all(_angles_equal(angles[0], a, tol.geom_tol) for a in angles):
+    if not _shares_dominant_line(frames, tol):
         raise PreconditionFailed("no common dominant eigenvector")
+    return _decide_shared_line(mats, report, tol)
 
+
+def _decide_shared_line(mats, report: NecessaryReport, tol: ToleranceConfig) -> Decision:
+    """The exact criterion for unit Vandergraft members, not all scalar, that
+    share one dominant line; member and product frames come from `report`."""
+    frames = report.frames[:len(mats)]
+    live = [(i, fr) for i, fr in enumerate(frames) if not fr.is_scalar]
     u = live[0][1].u1
     nd = [i for i, fr in live if fr.kind == KIND_NONDIAG]
     neg = [i for i, fr in live if fr.kind == KIND_NEGDET]
@@ -495,14 +503,9 @@ def decide_shared_dominant_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> De
             return _no(dd.NEG_DET_TRACE_ZERO_CONFLICT,
                        {"members": [f"A{bad_pair[0]}", f"A{bad_pair[1]}"],
                         "reason": "independent negative-determinant members with zero trace"})
+        # the non-dominant lines of the members and of their non-scalar NegDet products
         avoid = [line_angle(frames[i].u2) for i, fr in live if i not in neg]
-        products = []
-        for i in neg:
-            for j in neg:
-                fr = classify2(mats[i] @ mats[j], tol)
-                if not fr.is_scalar and fr.u2 is not None:
-                    products.append(line_angle(fr.u2))
-        avoid += products
+        avoid += [line_angle(fr.u2) for fr in report.frames[len(mats):] if not fr.is_scalar and fr.u2 is not None]
         for side in (_perp(u), -_perp(u)):
             K, delta = _shrink_cone(mats, u, side,
                                     lambda v: [mats[i] @ v for i in neg],
@@ -548,17 +551,11 @@ def _choose_directions(report: NecessaryReport, tol: ToleranceConfig):
     return [d for _, d in dirs]
 
 
-def _nondiag_rep(report: NecessaryReport, angle: float, tol: ToleranceConfig):
-    for tm, fr in zip(report.extended, report.frames):
-        if fr.kind == KIND_NONDIAG and _angles_equal(line_angle(fr.u1), angle, tol.geom_tol):
-            return tm, fr
-    raise InternalInconsistency("missing non-diagonalizable representative")
-
-
-def _decide_two_lines(mats, frames, report, tol) -> Decision:
-    l1, l2 = sorted(report.nondiag_lines)
-    tm1, fr1 = _nondiag_rep(report, l1, tol)
-    tm2, _ = _nondiag_rep(report, l2, tol)
+def _decide_two_lines(mats, report, tol) -> Decision:
+    """The only candidate is the cone between the two non-diagonalizable
+    dominant lines, oriented by their associated signs; it is a witness iff
+    the single-matrix catalog accepts it for every member."""
+    (_, tm1, fr1), (l2, tm2, _) = sorted(report.nondiag_lines, key=lambda line: line[0])
     u1 = fr1.u1
     d2 = _dir(l2)
     if associated_sign(tm1.matrix, u1, d2, tol) < 0:
@@ -568,35 +565,9 @@ def _decide_two_lines(mats, frames, report, tol) -> Decision:
                    {"members": [tm1.label, tm2.label],
                     "reason": "the two non-diagonalizable dominant directions are not mutually positively associated"})
     K = conic_hull([u1, d2], dim=2, tol=tol)
-    g1, g2 = _sector(K, tol)
-    slack = tol.geom_tol
-    B = np.column_stack([u1, d2])
-
-    for i, fr in enumerate(frames):
-        if fr.is_scalar:
-            continue
-        dom_ok = _in_sector(g1, g2, fr.u1, slack) or _in_sector(g1, g2, -fr.u1, slack)
-        if not dom_ok:
-            return _no(dd.TWO_LINE_CONDITION_FAILS,
-                       {"member": f"A{i}", "reason": "dominant eigenvector outside the candidate cone pair"})
-        if fr.u2 is not None and _line_hits_interior(g1, g2, fr.u2, slack):
-            return _no(dd.TWO_LINE_CONDITION_FAILS,
-                       {"member": f"A{i}", "reason": "non-dominant eigenline meets the candidate interior"})
-        if fr.kind == KIND_NEGDET:
-            a, b = np.linalg.solve(B, fr.u1)
-            if a < 0:
-                a, b = -a, -b
-            g, h = np.linalg.solve(B, fr.u2)
-            if abs(a) <= slack or abs(b) <= slack or abs(g) <= slack:
-                return _no(dd.TWO_LINE_CONDITION_FAILS,
-                           {"member": f"A{i}",
-                            "reason": "an eigenvector of a negative-determinant member is collinear with a candidate edge"})
-            r = (h / g) / (b / a)
-            lo, hi = fr.lam1 / fr.lam2, fr.lam2 / fr.lam1
-            if not (lo - slack <= r <= hi + slack):
-                return _no(dd.TWO_LINE_CONDITION_FAILS,
-                           {"member": f"A{i}", "ratio": r, "bounds": [lo, hi],
-                            "reason": "eigenvalue ratio bound violated"})
+    bad = next((i for i, M in enumerate(mats) if not is_invariant_cone_2x2(M, K, tol)), None)
+    if bad is not None:
+        return _no(dd.TWO_LINE_CONDITION_FAILS, {"member": f"A{bad}", "kind": report.frames[bad].kind})
     extra = {"close_calls": list(report.close_calls)} if report.close_calls else None
     return _yes(mats, K, tol, "two non-diagonalizable dominant lines; unique candidate pair", extra)
 
@@ -610,29 +581,22 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
     depend on their scale.
     """
     mats = unit_members(family)
-    if mats[0].shape[0] != 2:
-        raise PreconditionFailed("decide_common_2x2 expects 2x2 matrices")
-    frames = [classify2(M, tol) for M in mats]
+    report = necessary_conditions(mats, tol)
+    frames = report.frames[:len(mats)]
 
-    for i, fr in enumerate(frames):
-        if fr.kind == KIND_NOT:
-            return _no(dd.NOT_VANDERGRAFT_IN_A1, {"member": f"A{i}"})
-
-    live = [(i, fr) for i, fr in enumerate(frames) if not fr.is_scalar]
-    if not live:
+    if any(fr.kind == KIND_NOT for fr in frames):  # the report names the first such member
+        return _no(report.failed, report.evidence)
+    if all(fr.is_scalar for fr in frames):
         return _yes(mats, conic_hull([[1, 0], [0, 1]], tol=tol), tol,
                     "all members are nonnegative scalar matrices")
-    angles = [line_angle(fr.u1) for _, fr in live]
-    if all(_angles_equal(angles[0], a, tol.geom_tol) for a in angles):
-        return decide_shared_dominant_2x2(mats, tol)
-
-    report = necessary_conditions(mats, tol)
+    if _shares_dominant_line(frames, tol):
+        return _decide_shared_line(mats, report, tol)
     if not report.all_ok:
         return _no(report.failed, report.evidence)
 
     z = len(report.nondiag_lines)
     if z == 2:
-        return _decide_two_lines(mats, frames, report, tol)
+        return _decide_two_lines(mats, report, tol)
 
     dirs = _choose_directions(report, tol)
     neg = [i for i, fr in enumerate(frames) if fr.kind == KIND_NEGDET]
@@ -659,8 +623,7 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
                     close.append(f"edge nearly collinear with an eigenvector of A{i}")
 
     if z == 1:
-        ang = report.nondiag_lines[0]
-        tm, fr = _nondiag_rep(report, ang, tol)
+        ang, tm, _ = report.nondiag_lines[0]
         u1dir = next(d for d in dirs if _angles_equal(line_angle(d), ang, tol.geom_tol))
         if _line_hits_interior(g1, g2, u1dir, tol.geom_tol):
             return _no(dd.ORIENTATION_CONFLICT,

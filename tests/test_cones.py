@@ -227,6 +227,16 @@ class TestInvariance:
         assert rep.max_distance > 0.1
         assert rep.worst is not None
 
+    def test_rounding_level_image_counts_as_zero(self):
+        # diag(1, 0) maps the edge (-6e-17, -1) to (-6e-17, 0): zero up to
+        # rounding, whose unit vector -e1 lies outside the cone
+        K = PolyhedralCone(2, np.array([[-6.123233995736766e-17, -1.0], [1.0, -1.2246467991473532e-16]]))
+        assert is_invariant(K, np.diag([1.0, 0.0])).invariant
+        assert is_invariant(K, np.diag([2.0, 0.0])).invariant
+        # A e1 = (0, -1e-12) is tiny but far above rounding level, and outside the cone
+        rep = is_invariant(conic_hull([[1, 0], [1, 1]]), [[0.0, 1.0], [-1e-12, 0.0]])
+        assert not rep.invariant and rep.worst[2] == [1.0, 0.0]
+
     def test_random_invariance_implies_sample_membership(self):
         rng = np.random.default_rng(21)
         hits = 0

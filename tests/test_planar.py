@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conelab.planar
 from _gen import detneg_tracepos, from_eigs, mixed_family, yes_biased_family
 from conelab.cones import conic_hull, contains, is_invariant
 from conelab.errors import CollinearInput, EmptyFamily, PreconditionFailed
 from conelab.fixtures import ex7_1, ex7_2, ex7_3, ex7_4, ex7_6_prefix
+from conelab.linalg import DEFAULT_TOL
 from conelab.planar import (
     associated_sign,
     classify2,
@@ -203,6 +205,13 @@ class TestExtendedFamily:
         ext = extended_family([np.diag([2.0, 1.0]), np.diag([3.0, 1.0])])
         assert len(ext) == 2
 
+    @pytest.mark.parametrize("decide", [extended_family, necessary_conditions,
+                                        decide_shared_dominant_2x2, decide_common_2x2])
+    def test_needs_2x2_members(self, decide):
+        # the 3x3 member has a negative determinant, so its square is formed
+        with pytest.raises(PreconditionFailed):
+            decide([np.diag([1.0, -1.0, 1.0])])
+
     def test_scalar_products_excluded(self):
         A = np.array([[1.0, 1.0], [0.0, -1.0]])  # A @ A = I
         ext = extended_family([A, A])
@@ -359,6 +368,46 @@ class TestDecideCommon:
         d = decide_common_2x2([A, B])
         assert d.answer == "no"
         assert d.certificate["failed_condition"] in ("OrientationConflict", "TwoLineConditionFails")
+
+    def test_two_nondiag_lines_catalog_names_rejected_member(self):
+        # A and B leave the orthant invariant with consistent orientation; the
+        # negative-determinant C passes the necessary conditions but breaks
+        # the eigenvalue ratio bound of the catalog on the orthant
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        B = np.array([[1.0, 0.0], [1.0, 1.0]])
+        C = from_eigs([1, 1], [1, -2], 2.0, -1.9)
+        assert necessary_conditions([A, C, B]).all_ok
+        assert not is_invariant_cone_2x2(C, conic_hull([[1, 0], [0, 1]]))
+        d = decide_common_2x2([A, C, B])
+        assert d.answer == "no"
+        assert d.certificate == {"failed_condition": "TwoLineConditionFails",
+                                 "evidence": {"member": "A1", "kind": "NegDet"}}
+
+    def test_big_cone_classifies_each_matrix_once(self, monkeypatch):
+        fam = [np.diag([2.0, 1.0]), from_eigs([1, 1], [1, -2], 2.0, -1.0)]
+        calls = []
+
+        def counting(A, tol=DEFAULT_TOL):
+            calls.append(1)
+            return classify2(A, tol)
+
+        monkeypatch.setattr(conelab.planar, "classify2", counting)
+        d = decide_common_2x2(fam)
+        assert d.certificate["construction"] == "big cone over dominant directions and their images"
+        assert len(calls) == len(extended_family(fam)) == 3
+
+    def test_singular_members_yes_witness_passes_oracle(self):
+        # a singular member maps a witness edge to a rounding-level image
+        for fam in ([np.eye(2), np.diag([0.5, 0.0]), np.diag([0.0, 0.5])],
+                    [np.diag([2.0, 0.0]), np.diag([1.0, 2.0])]):
+            d = decide_common_2x2(fam)
+            assert d.answer == "yes" and all(is_invariant(d.witness, M).invariant for M in fam)
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            fam = list(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), 2, 2)).astype(float))
+            d = decide_common_2x2(fam)  # a witness failing the oracle raises
+            if d.answer == "yes":
+                assert all(is_invariant(d.witness, M).invariant for M in fam)
 
     def test_one_nondiag_line_with_diag_member(self):
         A = np.array([[1.0, 1.0], [0.0, 1.0]])   # dominant line e1
