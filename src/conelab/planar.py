@@ -282,7 +282,8 @@ class LinePoint:
 class NecessaryReport:
     failed: str | None                 # first failing certificate name, canonical order
     evidence: dict = field(default_factory=dict)
-    arc: tuple[float, float] | None = None
+    # each admissible separation arc, in candidate order, with the close calls seen up to it
+    arcs: tuple[tuple[tuple[float, float], tuple[str, ...]], ...] = ()
     points: tuple[LinePoint, ...] = ()
     # (angle, first member on the line, its frame) per non-diagonalizable dominant line
     nondiag_lines: tuple[tuple[float, TaggedMatrix, EigenFrame2], ...] = ()
@@ -339,28 +340,30 @@ def _collect_line_points(ext, frames, tol) -> list[LinePoint]:
     ]
 
 
-def _separation_arc(points: list[LinePoint], tol: ToleranceConfig):
-    """First closed arc holding every dominant line with no non-dominant line inside.
+def _separation_arcs(points: list[LinePoint], tol: ToleranceConfig):
+    """Every closed arc holding every dominant line with no non-dominant line inside.
 
-    Returns (arc, close_calls) or (None, close_calls); callers treat None as
+    Returns (arcs, close_calls): the admissible arcs in candidate order, each
+    with the close calls seen up to it, and all close calls; no arc means
     failed separation.  A line that is simultaneously dominant and
     non-dominant for a negative-determinant member fails outright.
     """
     close: list[str] = []
     for p in points:
         if p.dominant_for and p.nondominant_for and p.nondominant_negdet:
-            return None, [f"line at angle {p.angle:.6f} is dominant ({p.dominant_for}) and "
-                          f"non-dominant for a negative-determinant member ({p.nondominant_for})"]
+            return [], [f"line at angle {p.angle:.6f} is dominant ({p.dominant_for}) and "
+                        f"non-dominant for a negative-determinant member ({p.nondominant_for})"]
     dom = [p.angle for p in points if p.dominant_for]
     non = [p.angle for p in points if p.nondominant_for]
     if not dom:
-        return (0.0, 0.0), close
+        return [((0.0, 0.0), ())], close
     dom = sorted(dom)
     if len(dom) == 1:
-        return (dom[0], dom[0]), close
+        return [((dom[0], dom[0]), ())], close
     k = len(dom)
     candidates = [(dom[i + 1], dom[i] + np.pi) for i in range(k - 1)] + [(dom[0], dom[-1])]
     eps = tol.geom_tol
+    arcs = []
     for start, end in candidates:
         ok = True
         for phi in non:
@@ -371,8 +374,8 @@ def _separation_arc(points: list[LinePoint], tol: ToleranceConfig):
             if abs(psi - start) <= 10 * eps or abs(psi - end) <= 10 * eps:
                 close.append(f"non-dominant line {phi:.9f} within 10x tolerance of arc endpoint")
         if ok:
-            return (start, end), close
-    return None, close
+            arcs.append(((start, end), tuple(close)))
+    return arcs, close
 
 
 def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> NecessaryReport:
@@ -392,9 +395,9 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
         return NecessaryReport(dd.ORIENTATION_CONFLICT, {"members": list(conflict)}, **known)
 
     points = _collect_line_points(ext, frames, tol)
-    arc, close = _separation_arc(points, tol)
+    arcs, close = _separation_arcs(points, tol)
     known.update(points=tuple(points), nondiag_lines=tuple((g["angle"], g["rep"], g["frame"]) for g in lines))
-    if arc is None:
+    if not arcs:
         ev = {
             "dominant_angles": [p.angle for p in points if p.dominant_for],
             "nondominant_angles": [p.angle for p in points if p.nondominant_for],
@@ -402,7 +405,7 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
         if close:
             ev["conflict"] = close
         return NecessaryReport(dd.SEPARATION_FAILS, ev, **known)
-    return NecessaryReport(None, {}, arc=arc, close_calls=tuple(close), **known)
+    return NecessaryReport(None, {}, arcs=tuple(arcs), close_calls=arcs[0][1], **known)
 
 
 def _proportional(M1: np.ndarray, M2: np.ndarray, tol: float) -> bool:
@@ -536,9 +539,9 @@ def _decide_shared_line(mats, report: NecessaryReport, tol: ToleranceConfig) -> 
     return _yes(mats, K, tol, "shared dominant line, consistent orientation", {"delta": delta})
 
 
-def _choose_directions(report: NecessaryReport, tol: ToleranceConfig):
-    """Directions for the distinct dominant lines, fixed by the separation arc."""
-    start, end = report.arc
+def _choose_directions(report: NecessaryReport, arc: tuple[float, float], tol: ToleranceConfig):
+    """Directions for the distinct dominant lines, fixed by a separation arc."""
+    start, end = arc
     dirs = []
     for p in report.points:
         if not p.dominant_for:
@@ -572,33 +575,13 @@ def _decide_two_lines(mats, report, tol) -> Decision:
     return _yes(mats, K, tol, "two non-diagonalizable dominant lines; unique candidate pair", extra)
 
 
-def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
-    """Decide whether a finite 2x2 family has a common invariant proper cone.
-
-    Emits one witness cone on YES (re-verified member by member with the
-    membership oracle) and a named failed condition with concrete members on
-    NO.  Members are scaled to unit norm first, so the answer does not
-    depend on their scale.
-    """
-    mats = unit_members(family)
-    report = necessary_conditions(mats, tol)
-    frames = report.frames[:len(mats)]
-
-    if any(fr.kind == KIND_NOT for fr in frames):  # the report names the first such member
-        return _no(report.failed, report.evidence)
-    if all(fr.is_scalar for fr in frames):
-        return _yes(mats, conic_hull([[1, 0], [0, 1]], tol=tol), tol,
-                    "all members are nonnegative scalar matrices")
-    if _shares_dominant_line(frames, tol):
-        return _decide_shared_line(mats, report, tol)
-    if not report.all_ok:
-        return _no(report.failed, report.evidence)
-
+def _decide_big_cone(mats, report: NecessaryReport, arc, close, tol: ToleranceConfig) -> Decision:
+    """The candidate of at most one non-diagonalizable dominant line: the
+    cone over the dominant directions that `arc` fixes and their images under
+    the negative-determinant members, tested against the big-cone conditions."""
     z = len(report.nondiag_lines)
-    if z == 2:
-        return _decide_two_lines(mats, report, tol)
-
-    dirs = _choose_directions(report, tol)
+    frames = report.frames[:len(mats)]
+    dirs = _choose_directions(report, arc, tol)
     neg = [i for i, fr in enumerate(frames) if fr.kind == KIND_NEGDET]
     gens = list(dirs) + [mats[i] @ u for i in neg for u in dirs]
     K = prune_generators(conic_hull(gens, dim=2, tol=tol), tol)
@@ -611,7 +594,7 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
         if p.nondominant_for and _line_hits_interior(g1, g2, _dir(p.angle), tol.geom_tol):
             return _no(dd.BIG_CONE_HITS_NON_DOMINANT,
                        {"angle": p.angle, "members": list(p.nondominant_for)})
-    close = list(report.close_calls)
+    close = list(close)
     for i in neg:
         for w in (frames[i].u1, frames[i].u2):
             for edge in (g1, g2):
@@ -637,6 +620,37 @@ def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
 
     extra = {"close_calls": close} if close else None
     return _yes(mats, K, tol, "big cone over dominant directions and their images", extra)
+
+
+def decide_common_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
+    """Decide whether a finite 2x2 family has a common invariant proper cone.
+
+    Emits one witness cone on YES (re-verified member by member with the
+    membership oracle) and a named failed condition with concrete members on
+    NO.  Members are scaled to unit norm first, so the answer does not
+    depend on their scale.
+    """
+    mats = unit_members(family)
+    report = necessary_conditions(mats, tol)
+    frames = report.frames[:len(mats)]
+
+    if any(fr.kind == KIND_NOT for fr in frames):  # the report names the first such member
+        return _no(report.failed, report.evidence)
+    if all(fr.is_scalar for fr in frames):
+        return _yes(mats, conic_hull([[1, 0], [0, 1]], tol=tol), tol,
+                    "all members are nonnegative scalar matrices")
+    if _shares_dominant_line(frames, tol):
+        return _decide_shared_line(mats, report, tol)
+    if not report.all_ok:
+        return _no(report.failed, report.evidence)
+
+    if len(report.nondiag_lines) == 2:
+        return _decide_two_lines(mats, report, tol)
+    # Each admissible separation arc gives one candidate; when none passes,
+    # the first arc's NO stands.
+    decisions = (_decide_big_cone(mats, report, arc, close, tol) for arc, close in report.arcs)
+    first = next(decisions)
+    return first if first.answer == dd.YES else next((d for d in decisions if d.answer == dd.YES), first)
 
 
 def minimal_bad_subfamily(family, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[int, ...]:

@@ -5,10 +5,14 @@ the decision reduces to bookkeeping on the q x n table of eigenvalues: over
 the exponent tuples, one exponent sum at a time, collect the tie-broken
 index of the dominant diagonal block; a common invariant proper cone exists
 exactly when the collected rows of the table are entrywise nonnegative.
+Whether a larger bound could add a block (`exact`) is settled by array tests
+on the table, with an LP only for the blocks they leave open.
 The constructive direction builds a polyhedral cone from the dominant real
-columns of S and a polyhedral gauge ball on each remaining column, which is
-invariant by construction when one dominant block bounds each tail; only
-otherwise does closing it under the family up to a word-length bound matter.
+columns of S and a polyhedral gauge ball on each remaining column.  When
+one dominant block bounds each tail that cone is invariant by construction:
+its generator images are checked once and the closure never runs.  Only
+otherwise, or when an image falls outside, is it closed under the family up
+to a word-length bound.
 """
 
 from __future__ import annotations
@@ -86,8 +90,10 @@ class DominantIndexSet:
 def _joint_blocks(stack: np.ndarray, c: np.ndarray, tol: ToleranceConfig):
     """(eigenvalue row, orthonormal basis) of each real eigenspace of
     B = sum c_j A_j and of one twin of each complex pair, the one whose first
-    complex eigenvalue lies in the upper half-plane.  A one-column basis has
-    its largest-modulus entry real and positive.  None when some member is
+    complex eigenvalue lies in the upper half-plane.  A basis of several
+    columns is the leading columns of a column-pivoted QR of the projector
+    E E^H, so it depends on the subspace alone; every column has its
+    largest-modulus entry real and positive.  None when some member is
     not scalar on one of them, that is when B merges two joint eigenspaces."""
     B = np.tensordot(c, stack, axes=1)
     cut = tol.eig_cluster_tol * _norm(B)
@@ -104,9 +110,13 @@ def _joint_blocks(stack: np.ndarray, c: np.ndarray, tol: ToleranceConfig):
             return None
         if beta.imag and next((z.imag for z in lam if abs(z.imag) > tol.eig_cluster_tol), 0.0) < 0:
             lam, E = lam.conj(), E.conj()
-        if size == 1:  # one sign and phase: the largest-modulus entry is real and positive
-            z = E[np.argmax(np.abs(E)), 0]
-            E = E * (abs(z) / z)
+        if size > 1:  # a basis of the subspace alone: pivoted QR of its projector
+            from scipy.linalg import qr
+
+            E = qr(E @ E.conj().T, pivoting=True)[0][:, :size]
+        for k in range(size):  # one sign and phase: the largest-modulus entry is real and positive
+            z = E[np.argmax(np.abs(E[:, k])), k]
+            E[:, k] *= abs(z) / z
         blocks.append((lam, E))
     return blocks
 
@@ -197,6 +207,29 @@ def _exponent_rows(n: int, bound: int):
         yield t, parts[-1][t]
 
 
+def _never_elected(form: SimDiagForm, indices, tol: ToleranceConfig):
+    """Two array tests that a block is elected at no exponent bound, for a
+    table without zero eigenvalues and the dominant set `indices`.
+
+    Returns boolean masks over the blocks.  `dominated[k]`: some block m has
+    min_j (log|L_mj| - log|L_kj|) > 1e-9, so that row alone makes k's
+    completeness LP infeasible.  `covered[k]`: some elected block i with real
+    positive eigenvalues has log|L_i| >= log|L_k| in every member and
+    b_i (1 - eps) > |b_k|.  Then whenever k is top, i is top and real
+    positive too, so the tie-break's target is at least b_i: k is neither
+    strict nor of largest real part, and is never elected.
+    """
+    L, b = form.lambda_table, form.b
+    logs = np.log(np.abs(L))
+    gap = (logs[None, :, :] - logs[:, None, :]).min(axis=2)  # gap[k, m] = min_j (logs_mj - logs_kj)
+    dominated = (gap > 1e-9).any(axis=1)
+    covered = np.zeros(form.num_blocks, dtype=bool)
+    for i in indices:
+        if np.all(L[i].imag == 0) and np.all(L[i].real > 0):
+            covered |= (logs[i] >= logs).all(axis=1) & (b[i].real * (1.0 - tol.eig_cluster_tol) > np.abs(b))
+    return dominated, covered
+
+
 def dominant_index_set(form: SimDiagForm, bound: int = 8,
                        tol: ToleranceConfig = DEFAULT_TOL) -> DominantIndexSet:
     """The blocks elected dominant by some exponent tuple of sum <= bound.
@@ -215,9 +248,13 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
     A tuple with no candidate is a non-Vandergraft product: the search ends
     with the sum it belongs to and raises `NonVandergraftProduct` carrying
     the first such tuple and the partial set, which do not depend on the
-    member order.  Otherwise `exact` is set when an LP over the log-moduli
-    certifies that no block outside the set is weakly maximal in any
-    nonnegative direction (only for spectra without zero eigenvalues).
+    member order.  Otherwise, for spectra without zero eigenvalues, `exact`
+    certifies that no larger bound adds a block.  Each block outside the set
+    is settled by the array tests of `_never_elected` first: (a) another
+    block beats it in every member, or (b) an elected block covers it
+    through the tie-break.  Only a block that neither settles gets an LP over
+    the log-moduli, which certifies that it is weakly maximal in no
+    nonnegative direction; scipy's `linprog` is imported only then.
     """
     if bound < 0:
         raise PreconditionFailed(f"the exponent-sum bound must be nonnegative, got {bound}")
@@ -262,15 +299,19 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
     if zero.any():
         notes.append("zero eigenvalues present; completeness certificate unavailable")
         return DominantIndexSet(frozenset(indices), witnesses, bound, False, tuple(notes))
-    # A block outside the set is weakly maximal in some direction c >= 0,
-    # sum(c) = 1, exactly when its LP is feasible; one such block refutes `exact`.
-    from scipy.optimize import linprog
+    dominated, covered = _never_elected(form, indices, tol)
+    open_blocks = [k for k in range(form.num_blocks) if k not in indices and not (dominated[k] or covered[k])]
+    exact = True
+    if open_blocks:
+        # A block left open is weakly maximal in some direction c >= 0,
+        # sum(c) = 1, exactly when its LP is feasible; one such block refutes `exact`.
+        from scipy.optimize import linprog
 
-    logs, n = np.log(np.abs(L)), form.family_size
-    exact = not any(
-        linprog(np.zeros(n), A_ub=np.delete(logs, i, axis=0) - logs[i], b_ub=np.full(len(logs) - 1, 1e-9),
-                A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None), method="highs").status == 0
-        for i in range(form.num_blocks) if i not in indices)
+        logs, n = np.log(np.abs(L)), form.family_size
+        exact = not any(
+            linprog(np.zeros(n), A_ub=np.delete(logs, k, axis=0) - logs[k], b_ub=np.full(len(logs) - 1, 1e-9),
+                    A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0, None), method="highs").status == 0
+            for k in open_blocks)
     return DominantIndexSet(frozenset(indices), witnesses, bound, exact, tuple(notes))
 
 
@@ -288,11 +329,15 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
     sin(2 pi a/N) Im, N = 2 (+-Re) for a real tail and max(3, ceil(pi /
     arccos r)) for a complex one.  A member maps e_i + v to lambda_ij e_i + A v
     and A v into |lambda_kj| / cos(pi/N) <= lambda_ij times the ball, so the
-    seed cone is invariant when every r <= 1 (r < 1 if complex), and the
-    closure under the family, up to `word_len` applications, adds nothing
-    (method "gauge").  Otherwise every tail rides on the whole head, a complex
-    one with N = 8, and the closure does the rest (method "closure").
-    Returns (cone, report) with the pointedness certificate and the defect.
+    seed cone is invariant when every r <= 1 (r < 1 if complex): the images
+    of its generators, whose largest distance is the defect, are checked
+    once, and the closure is skipped (method "gauge").  Otherwise every tail
+    rides on the whole head, a complex one with N = 8, and the closure under
+    the family, up to `word_len` applications, does the rest (method
+    "closure"); it also runs, as a safety net, when a gauge seed's image
+    falls outside the seed cone, and the method stays "gauge" if it adds
+    nothing.  Returns (cone, report) with the pointedness certificate and
+    the defect.
     """
     if dominant is None:
         dominant = dominant_index_set(form, bound, tol)
@@ -330,23 +375,36 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
         if not absorbed(v):
             gens.append(v)
     num_seeds = len(gens)
-    frontier = list(range(num_seeds))
-    for _ in range(word_len):
-        fresh = []
-        for A in form.family:
-            for idx in frontier:
-                w = A @ gens[idx]
-                if _norm(w) < _ZERO_NORM:
-                    continue
-                w = unit(w)
-                if not absorbed(w):
-                    gens.append(w)
-                    fresh.append(len(gens) - 1)
-        if not fresh:
-            break
-        frontier = fresh
 
-    K = prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
+    def finish():
+        K = prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
+        images = [contains(K, A @ g, tol) for A in form.family for g in K.generators]
+        return K, max(r.distance for r in images), all(r.inside for r in images)
+
+    # Gauge seeds are invariant by construction: their images are checked
+    # once, and the closure runs only when some tail is unbounded or an
+    # image falls outside.
+    closed = False
+    if whole is None:
+        K, defect, closed = finish()
+    if not closed:
+        frontier = list(range(num_seeds))
+        for _ in range(word_len):
+            fresh = []
+            for A in form.family:
+                for idx in frontier:
+                    w = A @ gens[idx]
+                    if _norm(w) < _ZERO_NORM:
+                        continue
+                    w = unit(w)
+                    if not absorbed(w):
+                        gens.append(w)
+                        fresh.append(len(gens) - 1)
+            if not fresh:
+                break
+            frontier = fresh
+        K, defect, _ = finish()
+
     # Every generator's head coordinates are nonnegative with a positive sum,
     # so no nonzero x has both x and -x in K.
     Finv = np.linalg.inv(np.column_stack(basis))
@@ -354,7 +412,6 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
     heads = K.generators @ Finv[:sum(c.shape[1] for c in columns)].T
     if heads.min() < -slack or heads.sum(axis=1).min() <= slack:
         raise PointednessCertificateFailed("a generator's head coordinates are not nonnegative with a positive sum")
-    defect = max(contains(K, A @ g, tol).distance for A in form.family for g in K.generators)
     if not is_proper(K, tol):
         raise PointednessCertificateFailed("witness cone failed the properness oracle")
     report = {"defect": defect, "word_len": word_len, "num_generators": K.num_generators,

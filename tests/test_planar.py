@@ -293,6 +293,18 @@ class TestDecideCommon:
         with pytest.raises(EmptyFamily):
             decide_common_2x2([])
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_later_separation_arc_gives_the_witness(self, order):
+        # diag(2, 0)'s non-dominant line e2 ends both candidate arcs; the
+        # first arc's cone {e2, -e1} fails the orientation test, and the
+        # second arc's cone is the orthant, invariant under both members
+        fam = [np.array([[0.5, 0.0], [0.5, 0.5]]), np.diag([2.0, 0.0])][::order]
+        d = decide_common_2x2(fam)
+        assert d.answer == "yes"
+        assert same_cone(d.witness, conic_hull([[1, 0], [0, 1]]))
+        for M in fam:
+            assert is_invariant(d.witness, M).invariant
+
     def test_example_7_2_pairs_and_triple(self):
         A, B, C = ex7_2().matrices
         s5 = np.sqrt(5)

@@ -11,11 +11,15 @@ from conelab.fixtures import ex7_5
 from conelab.linalg import DEFAULT_TOL, unit_members
 from conelab.planar import decide_common_2x2
 from conelab.simdiag import (
+    _never_elected,
     construct_simdiag_cone,
     decide_simdiag,
     dominant_index_set,
     simultaneous_diagonalize,
 )
+
+# blocks e1 and e2 tie in the first member; e1 wins every tie through b
+TIED = [np.diag([2.0, 2.0, 1.0]), np.diag([3.0, 1.5, 1.0])]
 
 
 def table_rows(form):
@@ -213,6 +217,78 @@ class TestDominantIndexSet:
         assert 0 < aborts < 3 * len(forms)
 
 
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """One entry per `scipy.optimize.linprog` call made through the package."""
+    import scipy.optimize
+
+    calls, real = [], scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+class TestCompletenessCertificate:
+    def test_tied_family_is_exact(self):
+        d = decide_simdiag(TIED)
+        assert d.answer == "yes"
+        assert d.certificate["exact"] is True
+        assert "label" not in d.certificate
+
+    def test_tied_family_needs_no_lp(self, linprog_calls):
+        assert dominant_index_set(simultaneous_diagonalize(unit_members(TIED))).exact
+        assert len(linprog_calls) == 0
+
+    def test_lp_settles_what_the_array_tests_leave_open(self, linprog_calls):
+        form = simultaneous_diagonalize(unit_members(contractive(170)), seed=1729)
+        ds = dominant_index_set(form)
+        assert len(linprog_calls) >= 1
+        assert ds.exact == reference_dominant_set(form, 8)[3]
+
+    def test_array_tests_agree_with_the_lp_and_the_enumerator(self):
+        rng = np.random.default_rng(31)
+        tied = []  # the two leading blocks tie in about half of the members
+        for s in range(24):
+            n, dim, fam = 2 + s % 2, 3 + s % 3, []
+            for _ in range(n):
+                r = rng.uniform(0.5, 2.0)
+                second = r if rng.random() < 0.5 else r * rng.uniform(0.3, 0.9)
+                rest = r * rng.uniform(0.1, 0.85, size=dim - 2) * rng.choice([-1.0, 1.0], size=dim - 2)
+                fam.append(np.diag([r, second, *rest]))
+            tied.append(fam)
+        forms = reference_forms() + [simultaneous_diagonalize(unit_members(contractive(s)), seed=1729)
+                                     for s in range(300)]
+        forms += [simultaneous_diagonalize(unit_members(fam)) for fam in [TIED] + tied]
+        by_a = by_b = 0
+        for form in forms:
+            if np.any(form.lambda_table == 0):
+                continue
+            try:
+                ds = dominant_index_set(form)
+            except NonVandergraftProduct:
+                continue
+            dominated, covered = _never_elected(form, ds.indices, DEFAULT_TOL)
+            logs, n = np.log(np.abs(form.lambda_table)), form.family_size
+            elected = None
+            for k in set(range(form.num_blocks)) - ds.indices:
+                if dominated[k]:
+                    by_a += 1
+                    lp = linprog(np.zeros(n), A_ub=np.delete(logs, k, axis=0) - logs[k],
+                                 b_ub=np.full(form.num_blocks - 1, 1e-9), A_eq=np.ones((1, n)), b_eq=[1.0],
+                                 bounds=(0, None), method="highs")
+                    assert lp.status == 2  # infeasible
+                elif covered[k]:
+                    by_b += 1
+                    if elected is None:
+                        elected = reference_dominant_set(form, 16)[0]
+                    assert k not in elected
+        assert by_a > 0 and by_b > 0
+
+
 class TestDecideSimdiag:
     def test_example_7_5_no_with_witness_tuple(self):
         d = decide_simdiag(list(ex7_5().matrices), bound=2)
@@ -349,5 +425,28 @@ class TestGaugeWitness:
         fam = contractive(s)
         G = decide_simdiag(fam, seed=1729).witness.generators
         R = decide_simdiag(fam[::-1], seed=1729).witness.generators
+        assert G.shape == R.shape
+        assert np.allclose(G, R, atol=1e-9)
+
+    def test_two_column_block_witness_does_not_depend_on_member_order(self):
+        # a 3x3 family whose dominant block has two columns: every member is
+        # scalar on a tied plane, and the witness rests on that plane's basis
+        fam = [np.array(M) for M in (
+            [[0.17092733498927126, -0.13305356712063582, 0.1743086283841614],
+             [-2.5266449852164437, 0.41283237110001764, 0.6174833768070548],
+             [0.4121008399776304, 0.07687624866650312, 0.7834580912105616]],
+            [[0.3120517244833036, -0.09594597256582933, 0.12569532135707967],
+             [-1.821983549042099, 0.4864913465129328, 0.4452721141799196],
+             [0.2971691533155193, 0.05543606687998532, 0.7537524650493171]],
+            [[0.03114352189066303, -0.09173481377917524, 0.12017843573052558],
+             [-1.742014981039689, 0.19792682518792779, 0.42572870317541606],
+             [0.28412612026638734, 0.0530029258747282, 0.4534576023920242]],
+            [[0.37115345921742876, -0.03757450499054882, 0.04922498936971824],
+             [-0.7135279170702983, 0.4394677643749972, 0.17437812999317312],
+             [0.11637782739270341, 0.02170995525851024, 0.5441329625450921]])]
+        assert 2 in simultaneous_diagonalize(unit_members(fam)).block_sizes
+        d, r = decide_simdiag(fam), decide_simdiag(fam[::-1])
+        assert d.answer == r.answer == "yes"
+        G, R = d.witness.generators, r.witness.generators
         assert G.shape == R.shape
         assert np.allclose(G, R, atol=1e-9)
