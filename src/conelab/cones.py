@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Union
 
@@ -101,8 +102,19 @@ class QuadraticCone:
             object.__setattr__(self, name, arr)
 
     def ambient_form(self) -> np.ndarray:
-        """Q with v^T Q v = y^T V y - c^2 for v = c*axis + B y."""
-        return self.complement_basis @ self.form @ self.complement_basis.T - np.outer(self.axis, self.axis)
+        """Q with v^T Q v = y^T V y - c^2 for v = c*axis + B y (built once, read-only)."""
+        return self._ambient
+
+    @cached_property
+    def _ambient(self) -> np.ndarray:
+        Q = self.complement_basis @ self.form @ self.complement_basis.T - np.outer(self.axis, self.axis)
+        Q.setflags(write=False)
+        return Q
+
+    @cached_property
+    def _ambient_norm(self) -> float:
+        """||Q||_2, the scale of the S-lemma margins."""
+        return float(np.linalg.norm(self._ambient, 2))
 
 
 ConeRep = Union[PolyhedralCone, QuadraticCone]
@@ -451,7 +463,8 @@ def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> I
     semidefinite; as x^T Q x = -1, such t is at most -x^T A^T Q A x.  The
     concave t -> lambda_min(tQ - A^T Q A) is nonnegative on an interval whose
     ends are 0 or real generalized eigenvalues of (A^T Q A, Q), so those
-    points and the midpoints between them decide the certificate.  A cone
+    points and the midpoints between them decide the certificate; all of
+    them are scanned in one stacked `eigvalsh` call.  A cone
     inside K u -K lies in K iff its axis components are nonnegative, i.e. iff
     A^T x is in the dual cone K* (axis x, form V^-1).
     """
@@ -469,12 +482,9 @@ def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> I
         gen = eigvals(P, Q).real
         ts = np.unique(np.concatenate([ts, [t_max], gen[(gen > 0) & (gen < t_max)]]))
         ts = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])])
-    q_norm = float(np.linalg.norm(Q, 2))
-
-    def relative_lambda_min(s):
-        return float(np.linalg.eigvalsh(s * Q - P)[0]) / (q_norm * (1.0 + s))
-
-    margin, t = max((relative_lambda_min(s), s) for s in ts.tolist())
+    # relative lambda_min at every t; ties go to the larger t
+    margins = np.linalg.eigvalsh(ts[:, None, None] * Q - P)[:, 0] / (K._ambient_norm * (1.0 + ts))
+    margin, t = max(zip(margins.tolist(), ts.tolist()))
 
     if margin >= -tol.geom_tol:
         # Dual-cone test at the point p = x + B z (z^T V z <= 1) of K

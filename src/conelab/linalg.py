@@ -10,12 +10,17 @@ Every matrix size takes one path: LAPACK's eigenvalues, relative rank tests
 and `eigenvalue_clusters`, the only code in the package that groups computed
 eigenvalues.  Every cut is scaled by a norm that neither overflows nor
 underflows.  The package's one 2x2 closed form is `planar.classify2`.
+A decomposition computes the eigenvalues and their clusters up front; an
+eigenvalue's degree and real eigenspace are computed from a private copy of
+the matrix the first time they are read, then cached, so a caller that only
+asks whether a matrix is Vandergraft pays no singular value decomposition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -167,14 +172,47 @@ def eigenvalue_clusters(values, cut: float) -> list[tuple[complex, int]]:
     return [(complex(z), int(m)) for z, m in zip(means, sizes)]
 
 
+class _Cluster:
+    """Degree and real eigenspace of one eigenvalue cluster of M, each computed
+    on first read and cached; a complex cluster and its conjugate share one."""
+
+    def __init__(self, M: np.ndarray, value: complex, multiplicity: int, cut: float, tol: ToleranceConfig):
+        self.M, self.value, self.multiplicity, self.cut, self.tol = M, value, multiplicity, cut, tol
+
+    @cached_property
+    def degree(self) -> int:
+        return _degree_of(self.M, self.value, self.multiplicity, self.tol)
+
+    @cached_property
+    def basis(self) -> np.ndarray | None:
+        if self.value.imag:
+            return None
+        basis = np.real(nullspace(self.M - self.value.real * np.eye(self.M.shape[0]), self.cut))
+        if basis.shape[1]:
+            basis = np.column_stack([fix_sign(basis[:, k]) for k in range(basis.shape[1])])
+        basis.setflags(write=False)
+        return basis
+
+
 @dataclass(frozen=True)
 class EigenValue:
-    """One distinct eigenvalue with its multiplicities and (real) eigenvectors."""
+    """One distinct eigenvalue with its multiplicities and (real) eigenvectors.
+
+    `degree` and `eigenvectors` are computed on first read and cached.
+    """
 
     value: complex
     multiplicity: int
-    degree: int
-    eigenvectors: np.ndarray | None  # (n, g) real basis, real eigenvalues only
+    _cluster: _Cluster = field(repr=False, compare=False)
+
+    @property
+    def degree(self) -> int:
+        return self._cluster.degree
+
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        """(n, g) real basis, read-only; real eigenvalues only."""
+        return self._cluster.basis
 
     @property
     def is_real(self) -> bool:
@@ -206,9 +244,14 @@ class Spectrum:
 class VandergraftReport:
     is_vandergraft: bool
     dominant_eigenvalue: float | None
-    dominant_eigenvectors: np.ndarray | None
     failed_condition: str | None  # None | "rho-not-eigenvalue" | "degree-violation"
     spectrum: Spectrum = field(repr=False, default=None)
+    _dominant: EigenValue | None = field(repr=False, compare=False, default=None)
+
+    @property
+    def dominant_eigenvectors(self) -> np.ndarray | None:
+        """Real basis of the dominant eigenspace when Vandergraft, computed on first read."""
+        return None if self._dominant is None else self._dominant.eigenvectors
 
 
 def _degree_of(A: np.ndarray, lam: complex, multiplicity: int, tol: ToleranceConfig) -> int:
@@ -248,9 +291,12 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     every real one; the closed upper half-plane is then clustered once by
     `eigenvalue_clusters`, and each complex cluster's conjugate is appended
     with the same multiplicity and degree.  Eigenspaces keep the singular
-    values of A - lam I up to the same cut.
+    values of A - lam I up to the same cut.  Degrees and eigenspaces are
+    computed on first read, from a read-only copy of A taken here, so they
+    belong to A as it was at this call.
     """
-    M = as_square_matrix(A)
+    M = as_square_matrix(A).copy()
+    M.setflags(write=False)
     n = M.shape[0]
     if n > MAX_DIM:
         raise DimensionTooLarge(f"n = {n} exceeds the supported cap {MAX_DIM}")
@@ -264,14 +310,10 @@ def eigen_decompose(A, tol: ToleranceConfig = DEFAULT_TOL) -> Spectrum:
     values = np.where(np.abs(values.imag) <= cut, values.real, values)
     eigenvalues = []
     for v, m in eigenvalue_clusters(values[values.imag >= 0], cut):
-        deg = _degree_of(M, v, m, tol)
+        cluster = _Cluster(M, v, m, cut, tol)
+        eigenvalues.append(EigenValue(v, m, cluster))
         if v.imag:
-            eigenvalues += [EigenValue(v, m, deg, None), EigenValue(v.conjugate(), m, deg, None)]
-            continue
-        basis = np.real(nullspace(M - v.real * np.eye(n), cut))
-        if basis.shape[1]:
-            basis = np.column_stack([fix_sign(basis[:, k]) for k in range(basis.shape[1])])
-        eigenvalues.append(EigenValue(v, m, deg, basis))
+            eigenvalues.append(EigenValue(v.conjugate(), m, cluster))
 
     eigenvalues.sort(key=lambda ev: (-abs(ev.value), -ev.value.real, ev.value.imag))
     return Spectrum(n, tuple(eigenvalues), abs(eigenvalues[0].value))
@@ -286,11 +328,11 @@ def is_vandergraft(A, tol: ToleranceConfig = DEFAULT_TOL) -> VandergraftReport:
     spec = eigen_decompose(A, tol)
     dom = spec.dominant(tol)
     if dom is None:
-        return VandergraftReport(False, None, None, "rho-not-eigenvalue", spec)
+        return VandergraftReport(False, None, "rho-not-eigenvalue", spec)
     for ev in spec.peripheral(tol):
         if ev.degree > dom.degree:
-            return VandergraftReport(False, None, None, "degree-violation", spec)
-    return VandergraftReport(True, float(dom.value.real), dom.eigenvectors, None, spec)
+            return VandergraftReport(False, None, "degree-violation", spec)
+    return VandergraftReport(True, float(dom.value.real), None, spec, dom)
 
 
 def enumerate_words(family: Sequence, max_len: int) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:

@@ -373,8 +373,10 @@ class TestRouting:
         assert payload["certificate"]["failed_condition"] == "NotVandergraftInA1"
         assert payload["certificate"]["evidence"]["member"] == "A1"
 
-    def test_each_member_is_decomposed_once(self, tmp_path, decompositions):
-        # non-commuting normal family sharing the dominant vector e1
+    @staticmethod
+    def decide_normal_family(tmp_path):
+        # non-commuting normal family sharing the dominant vector e1; each
+        # member has the real eigenvalues 3 and 1 and one complex pair
         def rot(i, j, th):
             M = np.diag([3.0, 1.0, 1.0, 1.0])
             M[i, i] = M[j, j] = np.cos(th)
@@ -386,7 +388,18 @@ class TestRouting:
         dec = tmp_path / "d.json"
         assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 0
         assert json.loads(dec.read_text())["route"] == "shared-dominant"
+
+    def test_each_member_is_decomposed_once(self, tmp_path, decompositions):
+        self.decide_normal_family(tmp_path)
         assert len(decompositions) == 3
+
+    def test_only_dominant_eigenspaces_are_built(self, tmp_path, monkeypatch):
+        # the eigenspace at 1 is never read
+        original = conelab.linalg.nullspace
+        built = []
+        monkeypatch.setattr(conelab.linalg, "nullspace", lambda *a: built.append(a) or original(*a))
+        self.decide_normal_family(tmp_path)
+        assert len(built) == 3
 
     @pytest.mark.parametrize("mu, nu", [(0.5, 0.4), (-0.8, 1.0), (0.95, 1.0)])
     def test_commuting_jordan_family_takes_shared_dominant(self, tmp_path, decompositions, mu, nu):

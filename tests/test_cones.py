@@ -258,6 +258,49 @@ class TestInvariance:
         rep = is_invariant(ice_cream(), np.diag([2.0, 1.0, 0.5]))
         assert rep.invariant and rep.method == "psd" and rep.psd_margin >= -1e-12
 
+    def test_quadratic_scan_is_one_eigvalsh_call(self, monkeypatch):
+        K = ice_cream()
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or original(*a, **k))
+        rep = is_invariant(K, np.diag([2.0, 1.0, 0.5]))
+        assert rep.invariant and rep.method == "psd"
+        assert len(calls) == 1 and calls[0][0].shape[0] > 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1), st.sampled_from(["near-axis", "random"]))
+    def test_quadratic_scan_equals_pointwise_scan(self, d, seed, kind):
+        # the margin and multiplier are those of lambda_min(sQ - P) evaluated
+        # one candidate s at a time, bit for bit
+        from scipy.linalg import eigvals
+
+        rng = np.random.default_rng(seed)
+        axis = rng.normal(size=d)
+        axis /= np.linalg.norm(axis)
+        B = np.linalg.qr(np.column_stack([axis, rng.normal(size=(d, d - 1))]))[0][:, 1:]
+        W = rng.normal(size=(d - 1, d - 1))
+        K = QuadraticCone(d, axis, W @ W.T + 0.5 * np.eye(d - 1), B)
+        A = rng.normal(size=(d, d))
+        if kind == "near-axis":
+            A = 2.0 * np.outer(K.axis, K.axis) + 0.1 * A
+        rep = is_invariant(K, A)
+
+        scale = np.linalg.norm(A)
+        Q = K.ambient_form()
+        P = (A / scale).T @ Q @ (A / scale)
+        P = 0.5 * (P + P.T)
+        t_max = -float(K.axis @ P @ K.axis)
+        ts = np.array([0.0])
+        if t_max > 0:
+            gen = eigvals(P, Q).real
+            ts = np.unique(np.concatenate([ts, [t_max], gen[(gen > 0) & (gen < t_max)]]))
+            ts = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])])
+        q_norm = float(np.linalg.norm(Q, 2))
+        margin, t = max((float(np.linalg.eigvalsh(s * Q - P)[0]) / (q_norm * (1.0 + s)), s) for s in ts.tolist())
+        assert rep.psd_margin == margin
+        if rep.invariant:
+            assert rep.multiplier == t * scale * scale
+
     def test_quadratic_rejects_wrong_axis(self):
         rep = is_invariant(ice_cream(), np.diag([1.0, 2.0, 0.5]))
         assert not rep.invariant

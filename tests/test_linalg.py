@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conelab.linalg
 from _gen import jordan_at_rho
 from conelab.errors import DimensionMismatch, DimensionTooLarge, EmptyFamily
 from conelab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _degree_of,
+    _norm,
     eigen_decompose,
     eigenvalue_clusters,
     enumerate_words,
+    fix_sign,
     is_vandergraft,
+    nullspace,
     unit_members,
 )
 from conelab.planar import KIND_NOT, classify2, extended_family
@@ -97,6 +104,106 @@ class TestEigenDecompose:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             eigen_decompose(np.ones((2, 3)))
+
+
+def _eager(M, ev, tol=DEFAULT_TOL):
+    """(degree, eigenvectors) of one eigenvalue of M, computed as an eager
+    decomposition does: `_degree_of` at the cluster's upper half-plane value,
+    and `nullspace` with `fix_sign` for a real eigenvalue."""
+    upper = ev.value if ev.value.imag >= 0 else ev.value.conjugate()
+    degree = _degree_of(M, upper, ev.multiplicity, tol)
+    if ev.value.imag:
+        return degree, None
+    basis = np.real(nullspace(M - ev.value.real * np.eye(M.shape[0]), tol.eig_cluster_tol * _norm(M)))
+    if basis.shape[1]:
+        basis = np.column_stack([fix_sign(basis[:, k]) for k in range(basis.shape[1])])
+    return degree, basis
+
+
+def _same(lazy, eager):
+    return lazy is None and eager is None or np.array_equal(lazy, eager)
+
+
+_values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _structured_matrices(draw):
+    """Block-diagonal matrices of dimension 1-6 from scalar, Jordan, rotation
+    and zero blocks, optionally under an integer similarity."""
+    blocks, d = [], draw(st.integers(1, 6))
+    while sum(b.shape[0] for b in blocks) < d:
+        room = d - sum(b.shape[0] for b in blocks)
+        kind = draw(st.sampled_from(["scalar", "jordan", "complex", "zero"] if room > 1 else ["scalar", "zero"]))
+        k = 2 if kind == "complex" else draw(st.integers(1, room))
+        if kind == "complex":
+            a, b = draw(_values), draw(_values.filter(bool))
+            blocks.append(np.array([[a, -b], [b, a]]))
+        elif kind == "zero":
+            blocks.append(np.zeros((k, k)))
+        else:
+            blocks.append(draw(_values) * np.eye(k) + (np.eye(k, k=1) if kind == "jordan" else 0.0))
+    A = np.zeros((d, d))
+    i = 0
+    for b in blocks:
+        A[i:i + b.shape[0], i:i + b.shape[0]] = b
+        i += b.shape[0]
+    if draw(st.booleans()):
+        T = np.eye(d) + np.triu(np.array(draw(st.lists(st.integers(-2, 2), min_size=d * d, max_size=d * d)),
+                                         dtype=float).reshape(d, d), 1)
+        P = np.eye(d)[draw(st.permutations(range(d)))]
+        T = P @ T  # unit triangular up to a permutation: exactly invertible
+        A = T @ A @ np.linalg.inv(T)
+    return A
+
+
+class TestLazySpectra:
+    @settings(max_examples=150, deadline=None)
+    @given(_structured_matrices(), st.data())
+    def test_lazy_reads_equal_eager_computation(self, A, data):
+        spec = eigen_decompose(A)
+        M = np.array(A, dtype=float)
+        # read in a drawn order, degree or basis first, so no read depends on another
+        order = data.draw(st.permutations(range(len(spec.eigenvalues))))
+        basis_first = data.draw(st.booleans())
+        for i in order:
+            ev = spec.eigenvalues[i]
+            degree, basis = _eager(M, ev)
+            if basis_first:
+                assert _same(ev.eigenvectors, basis)
+            assert ev.degree == degree
+            assert _same(ev.eigenvectors, basis)
+
+    def test_reads_belong_to_the_matrix_at_the_call(self):
+        A = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        original = A.copy()
+        spec = eigen_decompose(A)
+        rep = is_vandergraft(A)
+        A[:] = np.array([[1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [1.0, 1.0, -2.0]])
+        for ev in spec.eigenvalues:
+            degree, basis = _eager(original, ev)
+            assert ev.degree == degree and _same(ev.eigenvectors, basis)
+        assert [ev.degree for ev in spec.eigenvalues] == [2, 1]
+        dom = eigen_decompose(original).dominant()
+        assert np.array_equal(rep.dominant_eigenvectors, dom.eigenvectors)
+        assert np.array_equal(rep.dominant_eigenvectors, np.array([[1.0], [0.0], [0.0]]))
+
+    def test_eigenspaces_are_read_only(self):
+        basis = eigen_decompose(np.eye(2)).eigenvalues[0].eigenvectors
+        with pytest.raises(ValueError):
+            basis[0, 0] = 5.0
+
+    def test_vandergraft_verdict_builds_no_eigenspace(self, monkeypatch):
+        calls = []
+        original = conelab.linalg.nullspace
+        monkeypatch.setattr(conelab.linalg, "nullspace", lambda *a: calls.append(a) or original(*a))
+        A, B = np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([[3.0, 0.0], [1.0, 0.5]])
+        rep = is_vandergraft(A @ B)
+        assert rep.is_vandergraft and calls == []
+        assert rep.dominant_eigenvectors.shape == (2, 1)
+        assert len(calls) == 1
+        rep.dominant_eigenvectors
+        assert len(calls) == 1
 
 
 class TestVandergraft:

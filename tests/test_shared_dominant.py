@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _gen import contractive_commuting_blocks, jordan_at_rho, normal_shared_dominant, shared_dominant_commuting
-from conelab.cones import contains, is_invariant
+from conelab.cones import QuadraticCone, contains, is_invariant
 from conelab.errors import (
     HypothesesNotMet,
     HypothesisViolated,
@@ -11,8 +11,9 @@ from conelab.errors import (
     PreconditionFailed,
 )
 from conelab.fixtures import ex7_2, ex7_4
-from conelab.linalg import is_vandergraft
+from conelab.linalg import DEFAULT_TOL, is_vandergraft
 from conelab.shared_dominant import (
+    _witness_checks,
     common_dominant_eigenvector,
     common_lyapunov,
     decide_shared_dominant,
@@ -282,3 +283,16 @@ class TestDecideSharedDominant:
             d = decide_shared_dominant(fam)
             assert d.answer == "yes"
             assert interior(d.witness, x) or interior(d.witness, -x)
+
+
+def test_witness_checks_build_the_form_norm_once(monkeypatch):
+    # one cone, three members: ||Q||_2 is a property of the cone
+    K = QuadraticCone(3, np.eye(3)[0], np.eye(2), np.eye(3)[:, 1:])
+    mats = [np.diag([2.0, 1.0, 0.5]), np.diag([3.0, -1.0, 1.0]), np.diag([1.0, 0.5, 0.5])]
+    spectral = []
+    original = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, *a, **k: (
+        spectral.append(ord) if ord == 2 else None) or original(x, ord, *a, **k))
+    checks = _witness_checks(K, mats, DEFAULT_TOL, "test witness")
+    assert [c["matrix"] for c in checks] == ["A0", "A1", "A2"]
+    assert spectral == [2]
