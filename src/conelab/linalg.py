@@ -61,7 +61,7 @@ def as_square_matrix(A) -> np.ndarray:
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
 
@@ -158,9 +158,29 @@ def eigenvalue_clusters(values, cut: float) -> list[tuple[complex, int]]:
     Representatives are greedy, in (real, imag) order: a value starts a new
     one unless it lies within `cut` of an earlier one.  Every value then joins
     its nearest representative, so each value counts once.  The caller scales
-    `cut` by the norm of the matrix the values belong to.
+    `cut` by the norm of the matrix the values belong to.  One or two values
+    (a 2x2 matrix, a complex pair) skip numpy: the result is the same list,
+    signed zeros included, with each mean summed from 0.0 in input order.
     """
     values = np.asarray(values, dtype=complex).ravel()
+    if not 0 < values.size <= 2:
+        return _greedy_clusters(values, cut)
+    zs = values.tolist()
+    reps = sorted(zs, key=lambda z: (z.real, z.imag))
+    if len(reps) == 2 and not abs(reps[1] - reps[0]) <= cut:
+        return [(_mean([z]), 1) for z in reps]
+    return [(_mean(zs), len(zs))]
+
+
+def _mean(zs: list[complex]) -> complex:
+    re = im = 0.0
+    for z in zs:
+        re, im = re + z.real, im + z.imag
+    return complex(re / len(zs), im / len(zs))
+
+
+def _greedy_clusters(values: np.ndarray, cut: float) -> list[tuple[complex, int]]:
+    """`eigenvalue_clusters` of a flat complex array, with numpy."""
     reps: list[complex] = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
         if not any(abs(v - r) <= cut for r in reps):

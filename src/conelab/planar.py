@@ -22,6 +22,7 @@ zero vector, so a singular member whose kernel holds an edge passes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     InternalInconsistency,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, fix_sign, pow2_scaled, square_family, unit_members
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_square_matrix, pow2_scaled, square_family, unit_members
 
 KIND_DIAG = "DiagNonneg"
 KIND_NONDIAG = "NonDiag"
@@ -58,7 +59,7 @@ class EigenFrame2:
 
 
 def _cross(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+    return float(a[0]) * float(b[1]) - float(a[1]) * float(b[0])
 
 
 def _perp(u: np.ndarray) -> np.ndarray:
@@ -67,29 +68,38 @@ def _perp(u: np.ndarray) -> np.ndarray:
 
 def line_angle(v) -> float:
     """Angle of the line through v, in [0, pi)."""
-    a = float(np.arctan2(v[1], v[0])) % np.pi
-    return 0.0 if abs(a - np.pi) < 1e-15 else a
+    a = math.atan2(v[1], v[0]) % math.pi
+    return 0.0 if abs(a - math.pi) < 1e-15 else a
 
 
 def _angles_equal(a: float, b: float, tol: float) -> bool:
-    d = abs(a - b) % np.pi
-    return min(d, np.pi - d) <= tol
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d) <= tol
 
 
 def _dir(angle: float) -> np.ndarray:
-    return np.array([np.cos(angle), np.sin(angle)])
+    return np.array([math.cos(angle), math.sin(angle)])
 
 
-def _eigvec_2x2(A: np.ndarray, lam: float) -> np.ndarray:
-    """Unit eigenvector of a 2x2 A for the real eigenvalue lam, from the
-    larger row of A - lam I."""
-    r1 = np.array([A[0, 1], lam - A[0, 0]])
-    r2 = np.array([lam - A[1, 1], A[1, 0]])
-    v = r1 if r1 @ r1 >= r2 @ r2 else r2
-    n = np.sqrt(v @ v)
+def _scalar_defect(a: float, b: float, c: float, d: float) -> float:
+    """||M - (t/2) I|| for M = [[a, b], [c, d]] of trace t."""
+    h = (a + d) / 2.0
+    return math.hypot(a - h, b, c, d - h)
+
+
+def _eigvec_2x2(a: float, b: float, c: float, d: float, lam: float) -> np.ndarray:
+    """Unit eigenvector of [[a, b], [c, d]] for the real eigenvalue lam, from
+    the larger row of A - lam I, signed as `linalg.fix_sign` signs it."""
+    x, y = b, lam - a
+    if x * x + y * y < (lam - d) * (lam - d) + c * c:
+        x, y = lam - d, c
+    n = math.sqrt(x * x + y * y)
     if n == 0.0:  # A = lam I: every vector is an eigenvector
         return np.array([1.0, 0.0])
-    return fix_sign(v / n)
+    x, y = x / n, y / n
+    if x < -1e-12 or (abs(x) <= 1e-12 and y < -1e-12):
+        x, y = -x, -y
+    return np.array([x, y])
 
 
 def _ldexp(x: float | None, e: int) -> float | None:
@@ -101,46 +111,43 @@ def _ldexp(x: float | None, e: int) -> float | None:
 def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
     """Closed-form case split for a 2x2 matrix (never raises on bad spectra).
 
-    With its largest entry outside 2^-400..2^400, t*t - 4d could underflow
-    or overflow; such an A is first scaled by the power of two nearest
-    1/||A||, and the eigenvalues, trace and determinant are scaled back.
+    The validated entries are read once and the case split is computed on
+    them as Python floats.  With its largest entry outside 2^-400..2^400,
+    t*t - 4d could underflow or overflow; such an A is first scaled by the
+    power of two nearest 1/||A||, and the eigenvalues, trace and determinant
+    are scaled back.
     """
     M = as_square_matrix(A)
     if M.shape[0] != 2:
         raise PreconditionFailed("classify2 expects a 2x2 matrix")
-    m = max(map(abs, M.ravel().tolist()))
+    a, b, c, d = M.ravel().tolist()
+    m = max(abs(a), abs(b), abs(c), abs(d))
     if m and not 2.0 ** -400 < m < 2.0 ** 400:
         S, k = pow2_scaled(M)
         f = classify2(S, tol)
         return replace(f, lam1=_ldexp(f.lam1, -k), lam2=_ldexp(f.lam2, -k),
                        trace=_ldexp(f.trace, -k), det=_ldexp(f.det, -2 * k))
-    t = float(M[0, 0] + M[1, 1])
-    d = float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    s = float(np.linalg.norm(M))
+    t = a + d
+    det = a * d - b * c
+    s = math.hypot(a, b, c, d)
     eps = tol.eig_cluster_tol
-    disc = t * t - 4.0 * d
+    disc = t * t - 4.0 * det
 
     if t < -eps * s or disc < -eps * s * s:
-        lam = None
-        return EigenFrame2(KIND_NOT, lam, lam, None, None, False, t, d)
+        return EigenFrame2(KIND_NOT, None, None, None, None, False, t, det)
 
-    scalar = np.linalg.norm(M - (t / 2.0) * np.eye(2)) <= eps * s
-    if scalar:
-        c = t / 2.0
-        return EigenFrame2(KIND_DIAG, c, c, None, None, True, t, d)
+    if _scalar_defect(a, b, c, d) <= eps * s:
+        return EigenFrame2(KIND_DIAG, t / 2.0, t / 2.0, None, None, True, t, det)
 
-    if d < -eps * s * s:
-        root = np.sqrt(max(disc, 0.0))
+    negdet = det < -eps * s * s
+    if negdet or disc > eps * s * s:
+        root = math.sqrt(max(disc, 0.0))
         lam1, lam2 = (t + root) / 2.0, (t - root) / 2.0
-        return EigenFrame2(KIND_NEGDET, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), False, t, d)
+        return EigenFrame2(KIND_NEGDET if negdet else KIND_DIAG, lam1, lam2,
+                           _eigvec_2x2(a, b, c, d, lam1), _eigvec_2x2(a, b, c, d, lam2), False, t, det)
 
-    if disc <= eps * s * s:
-        lam = t / 2.0
-        return EigenFrame2(KIND_NONDIAG, lam, lam, _eigvec_2x2(M, lam), None, False, t, d)
-
-    root = np.sqrt(disc)
-    lam1, lam2 = (t + root) / 2.0, (t - root) / 2.0
-    return EigenFrame2(KIND_DIAG, lam1, lam2, _eigvec_2x2(M, lam1), _eigvec_2x2(M, lam2), False, t, d)
+    lam = t / 2.0
+    return EigenFrame2(KIND_NONDIAG, lam, lam, _eigvec_2x2(a, b, c, d, lam), None, False, t, det)
 
 
 def associated_sign(A, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -152,14 +159,15 @@ def associated_sign(A, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     frame = classify2(M, tol)
     if frame.kind != KIND_NONDIAG:
         raise PreconditionFailed("associated_sign needs a non-diagonalizable Vandergraft matrix")
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    if abs(_cross(uu, vv)) <= tol.geom_tol * np.linalg.norm(uu) * np.linalg.norm(vv):
+    (u0, u1), (v0, v1) = np.asarray(u, dtype=float).tolist(), np.asarray(v, dtype=float).tolist()
+    nu = math.hypot(u0, u1)
+    if abs(u0 * v1 - u1 * v0) <= tol.geom_tol * nu * math.hypot(v0, v1):
         raise CollinearInput("v lies on the eigenline of A")
+    a, b, c, d = M.ravel().tolist()
     lam = frame.lam1
-    if np.linalg.norm(M @ uu - lam * uu) > 1e-6 * np.linalg.norm(M) * np.linalg.norm(uu):
+    if math.hypot((a - lam) * u0 + b * u1, c * u0 + (d - lam) * u1) > 1e-6 * math.hypot(a, b, c, d) * nu:
         raise PreconditionFailed("u is not an eigenvector of A")
-    x = float((M @ vv - lam * vv) @ uu) / float(uu @ uu)
+    x = ((a - lam) * v0 + b * v1) * u0 + (c * v0 + (d - lam) * v1) * u1  # u . (A - lam I) v
     return 1 if x > 0 else -1
 
 
@@ -186,6 +194,12 @@ def _line_hits_interior(g1, g2, v, slack: float) -> bool:
     return _strictly_in_sector(g1, g2, v, slack) or _strictly_in_sector(g1, g2, -v, slack)
 
 
+def _coords(e1, e2, g) -> tuple[float, float]:
+    """(x, y) with g = x e1 + y e2, by Cramer's rule."""
+    det = _cross(e1, e2)
+    return _cross(g, e2) / det, _cross(e1, g) / det
+
+
 def is_invariant_cone_2x2(A, K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Single-matrix invariance via the 2x2 catalog (closed form, no oracle)."""
     M = as_square_matrix(A)
@@ -210,9 +224,8 @@ def is_invariant_cone_2x2(A, K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_T
         return False
 
     # Negative determinant: coefficients of the edges in the eigenbasis.
-    B = np.column_stack([frame.u1, frame.u2])
-    a1, b1 = np.linalg.solve(B, g1)
-    a2, b2 = np.linalg.solve(B, g2)
+    a1, b1 = _coords(frame.u1, frame.u2, g1)
+    a2, b2 = _coords(frame.u1, frame.u2, g2)
     if abs(a1) <= slack or abs(a2) <= slack or a1 * a2 < 0:
         return False
     c1, c2 = b1 / a1, b2 / a2
@@ -234,7 +247,7 @@ def make_invariant_cone(A, v, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Polyh
     """
     M = as_square_matrix(A)
     frame = classify2(M, tol)
-    s = float(np.linalg.norm(M))
+    s = math.hypot(*M.ravel().tolist())
     if frame.det > tol.eig_cluster_tol * s * s or frame.trace < -tol.eig_cluster_tol * s:
         raise PreconditionFailed("need det A <= 0 and trace A >= 0")
     w = np.asarray(v, dtype=float)
@@ -258,15 +271,19 @@ def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMa
     if mats[0].shape[0] != 2:
         raise PreconditionFailed("the 2x2 procedures need 2x2 matrices")
     tagged = [TaggedMatrix(M, f"A{i}") for i, M in enumerate(mats)]
-    neg = [i for i, M in enumerate(mats)
-           if float(np.linalg.det(M)) < -tol.eig_cluster_tol * float(np.linalg.norm(M)) ** 2]
+    # `classify2`'s determinant test and distance from a scalar matrix, on the entries as floats
+    neg = []
+    for i, M in enumerate(mats):
+        a, b, c, d = M.ravel().tolist()
+        s = math.hypot(a, b, c, d)
+        if a * d - b * c < -tol.eig_cluster_tol * s * s:
+            neg.append(i)
     for i in neg:
         for j in neg:
             P = mats[i] @ mats[j]
-            c = float(P[0, 0] + P[1, 1]) / 2.0
-            if np.linalg.norm(P - c * np.eye(2)) <= tol.geom_tol * np.linalg.norm(P):
-                continue
-            tagged.append(TaggedMatrix(P, f"A{i}*A{j}"))
+            entries = P.ravel().tolist()
+            if _scalar_defect(*entries) > tol.geom_tol * math.hypot(*entries):
+                tagged.append(TaggedMatrix(P, f"A{i}*A{j}"))
     return tagged
 
 
@@ -361,13 +378,13 @@ def _separation_arcs(points: list[LinePoint], tol: ToleranceConfig):
     if len(dom) == 1:
         return [((dom[0], dom[0]), ())], close
     k = len(dom)
-    candidates = [(dom[i + 1], dom[i] + np.pi) for i in range(k - 1)] + [(dom[0], dom[-1])]
+    candidates = [(dom[i + 1], dom[i] + math.pi) for i in range(k - 1)] + [(dom[0], dom[-1])]
     eps = tol.geom_tol
     arcs = []
     for start, end in candidates:
         ok = True
         for phi in non:
-            psi = start + ((phi - start) % np.pi)
+            psi = start + ((phi - start) % math.pi)
             if start + eps < psi < end - eps:
                 ok = False
                 break
@@ -409,9 +426,9 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
 
 
 def _proportional(M1: np.ndarray, M2: np.ndarray, tol: float) -> bool:
-    f1, f2 = M1.reshape(-1), M2.reshape(-1)
-    n1, n2 = np.linalg.norm(f1), np.linalg.norm(f2)
-    return abs(abs(float(f1 @ f2)) - n1 * n2) <= tol * n1 * n2
+    f1, f2 = M1.ravel().tolist(), M2.ravel().tolist()
+    n1, n2 = math.hypot(*f1), math.hypot(*f2)
+    return abs(abs(sum(x * y for x, y in zip(f1, f2))) - n1 * n2) <= tol * n1 * n2
 
 
 def _verify_witness(family, K, tol) -> list[dict]:
@@ -451,7 +468,7 @@ def _shrink_cone(family, base_u, side_vec, extra_gens_of, avoid_angles, tol):
     the membership oracle certifies every member."""
     for t in range(60):
         delta = 0.1 * 0.5 ** t
-        v = unit(np.cos(delta) * base_u + np.sin(delta) * side_vec)
+        v = unit(math.cos(delta) * base_u + math.sin(delta) * side_vec)
         gens = [base_u, v] + [g for g in extra_gens_of(v)]
         K = prune_generators(conic_hull(gens, dim=2, tol=tol), tol)
         if not is_proper(K, tol):
@@ -546,7 +563,7 @@ def _choose_directions(report: NecessaryReport, arc: tuple[float, float], tol: T
     for p in report.points:
         if not p.dominant_for:
             continue
-        psi = start + ((p.angle - start) % np.pi)
+        psi = start + ((p.angle - start) % math.pi)
         if psi > end + 10 * tol.geom_tol:
             raise InternalInconsistency("dominant line escaped the separation arc")
         dirs.append((psi, _dir(psi)))

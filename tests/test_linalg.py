@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from conelab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _degree_of,
+    _greedy_clusters,
     _norm,
     eigen_decompose,
     eigenvalue_clusters,
@@ -312,6 +315,27 @@ def test_eigenvalue_clusters_count_each_value_once():
     assert sum(size for _, size in clusters) == 3
     (mean, size), = eigenvalue_clusters([1 + 1j, 1 + 1j + 0.5j * c, 1 + 1j - 0.5j * c], c)
     assert size == 3 and mean == pytest.approx(1 + 1j)
+
+
+_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-4.0, 4.0, allow_nan=False))
+
+
+def _exact(clusters):
+    """Each (mean, size) with the signs of zero parts spelled out."""
+    return [(z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag), m) for z, m in clusters]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(complex, _part, _part), min_size=1, max_size=2),
+       st.sampled_from(["drawn", "at", "inside"]), st.floats(0.0, 4.0))
+def test_one_or_two_values_cluster_as_the_general_path_does(values, where, cut):
+    if len(values) == 2 and where != "drawn":
+        cut = abs(values[1] - values[0])  # exactly cut apart: one cluster
+        if where == "inside":
+            cut = math.nextafter(cut, 0.0)  # just over cut apart: two
+    fast = eigenvalue_clusters(values, cut)
+    assert _exact(fast) == _exact(_greedy_clusters(np.array(values, dtype=complex), cut))
+    assert all(type(z) is complex and type(m) is int for z, m in fast)
 
 
 def test_tolerance_config_validation():

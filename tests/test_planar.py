@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conelab.planar
@@ -65,6 +65,96 @@ class TestClassify2:
             assert np.allclose(fr.u1, [1, 0])
             fr = classify2(s * np.array([[2.0, 1.0], [0.0, 1.0]]))
             assert fr.kind == "DiagNonneg" and (fr.lam1, fr.lam2) == pytest.approx((2 * s, s), rel=1e-12)
+
+
+_EPS = DEFAULT_TOL.eig_cluster_tol
+_entry = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _rot(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+@st.composite
+def _kernel_matrices(draw):
+    """A random, scalar, shear (Jordan), negative-determinant or near-cut 2x2
+    matrix (eigenvalue split or distance from scalar a factor 4 either side of
+    its cut), optionally scaled by a power of two that puts its largest entry
+    just inside or just outside 2^-400..2^400, or far outside it."""
+    kind = draw(st.sampled_from(["random", "scalar", "shear", "negdet", "near_split", "near_scalar"]))
+    R = _rot(draw(st.floats(0.0, 3.2)))
+    lam, q, k = draw(_entry), draw(st.floats(0.5, 1.0)), draw(st.sampled_from([0.25, 4.0]))
+    if kind == "random":
+        M = np.array(draw(st.lists(_entry, min_size=4, max_size=4))).reshape(2, 2)
+    elif kind == "scalar":
+        M = lam * np.eye(2)
+    elif kind == "shear":
+        M = R @ np.array([[lam, q], [0.0, lam]]) @ R.T
+    elif kind == "negdet":
+        M = R @ np.array([[draw(st.floats(0.1, 1.0)), draw(_entry)], [0.0, draw(st.floats(-1.0, -0.1))]]) @ R.T
+    elif kind == "near_split":  # (lam1 - lam2)^2 = k eps ||M||^2
+        h = np.sqrt(k * _EPS) / 2 * np.hypot(np.sqrt(2) * lam, q)
+        M = R @ np.array([[lam + h, q], [0.0, lam - h]]) @ R.T
+    else:  # ||M - lam I|| = k eps ||M||
+        M = lam * np.eye(2) + k * _EPS * abs(lam) * np.sqrt(2) * R @ np.array([[0.0, 1.0], [0.0, 0.0]]) @ R.T
+    edge = draw(st.sampled_from([None, 400, 401, -400, -399, 1000, -1000]))
+    m = np.abs(M).max()
+    if edge is not None and m > 0:
+        M = np.ldexp(M, edge - np.frexp(m)[1])  # largest entry in [2^(edge-1), 2^edge)
+    return M
+
+
+def _reference(M):
+    """(kind, eigenvalues, margins) of M from np.linalg.eigvals: the cuts of
+    `classify2` applied to t = l1 + l2, d = l1 l2 and t^2 - 4d = (l1 - l2)^2,
+    and each cut's quantity over its threshold."""
+    l1, l2 = np.linalg.eigvals(M)
+    s = np.linalg.norm(M)
+    t, d, disc = (l1 + l2).real, (l1 * l2).real, ((l1 - l2) ** 2).real
+    defect = np.linalg.norm(M - np.trace(M) / 2 * np.eye(2))
+    margins = (t / (_EPS * s), disc / (_EPS * s * s), d / (_EPS * s * s), defect / (_EPS * s)) if s else ()
+    if t < -_EPS * s or disc < -_EPS * s * s:
+        return "NotVandergraft", None, margins
+    if defect <= _EPS * s:
+        return "scalar", (t / 2, t / 2), margins
+    if d < -_EPS * s * s:
+        return "NegDet", sorted((l1.real, l2.real), reverse=True), margins
+    if disc <= _EPS * s * s:
+        return "NonDiag", (t / 2, t / 2), margins
+    return "DiagNonneg", sorted((l1.real, l2.real), reverse=True), margins
+
+
+class TestClassify2Reference:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_matrices())
+    def test_matches_eigvals_reference(self, M):
+        fr = classify2(M)
+        # the reference works on M scaled exactly to a largest entry near 1, where no square
+        # underflows or overflows; classify2's eigenvalues are scaled the same way
+        e = int(np.frexp(np.abs(M).max())[1])
+        M = np.ldexp(M, -e)
+        kind, lams, margins = _reference(M)
+        assume(all(abs(abs(x) - 1.0) > 0.01 for x in margins))  # no quantity at its cut
+        assert ("scalar" if fr.is_scalar else fr.kind) == kind
+        if lams is None:
+            return
+        s = np.linalg.norm(M)
+        # distinct eigenvalues split by sep are determined to about eps ||M||^2 / sep, and so
+        # are their eigenlines: the bound is 1e-12 (relative to ||M||) for sep >= 0.01 ||M||
+        tol = 1e-12 * max(1.0, 1e-2 * s / abs(lams[0] - lams[1])) if kind in ("DiagNonneg", "NegDet") else 1e-12
+        for lam, ref in zip((fr.lam1, fr.lam2), lams):
+            assert abs(np.ldexp(lam, -e) - ref) <= tol * s
+        if fr.is_scalar or np.linalg.norm(M - np.trace(M) / 2 * np.eye(2)) < 1e-3 * s:
+            return  # eigenlines of a nearly scalar matrix are not determined to 1e-12
+        if fr.kind == "NonDiag" and abs(margins[1]) > 1e-4:
+            return  # two eigenlines closer than the cut, which the NonDiag frame merges into one
+        for u, lam in ((fr.u1, lams[0]), (fr.u2, lams[1])):
+            if u is None:
+                continue
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+            assert u[0] > 1e-12 or (abs(u[0]) <= 1e-12 and u[1] > 0)  # fix_sign's sign
+            v = np.linalg.svd(M - lam * np.eye(2))[2][-1]
+            assert abs(u[0] * v[1] - u[1] * v[0]) <= tol  # sine of the angle between the lines
 
 
 class TestAssociatedSign:
@@ -407,6 +497,28 @@ class TestDecideCommon:
         d = decide_common_2x2(fam)
         assert d.certificate["construction"] == "big cone over dominant directions and their images"
         assert len(calls) == len(extended_family(fam)) == 3
+
+    def test_negdet_products_are_classified_once(self, monkeypatch):
+        c, s = np.cos(0.6), np.sin(0.6)
+        R = np.array([[c, s], [s, -c]])  # a reflection: R @ R is the identity up to rounding
+
+        def line(a):
+            return [np.cos(a), np.sin(a)]
+
+        fam = [np.diag([2.0, 1.0]), R, from_eigs(line(0.35), line(0.35 + np.pi / 2), 2.0, -1.0)]
+        ext = extended_family(fam)
+        # the scalar product A1*A1 is screened out; the other products of A1 and A2 stay
+        assert [tm.label for tm in ext] == ["A0", "A1", "A2", "A1*A2", "A2*A1", "A2*A2"]
+        calls = []
+
+        def counting(A, tol=DEFAULT_TOL):
+            calls.append(1)
+            return classify2(A, tol)
+
+        monkeypatch.setattr(conelab.planar, "classify2", counting)
+        d = decide_common_2x2(fam)
+        assert d.certificate["construction"] == "big cone over dominant directions and their images"
+        assert len(calls) == len(extended_family(fam)) == 6
 
     def test_singular_members_yes_witness_passes_oracle(self):
         # a singular member maps a witness edge to a rounding-level image
