@@ -157,39 +157,25 @@ def eigenvalue_clusters(values, cut: float) -> list[tuple[complex, int]]:
 
     Representatives are greedy, in (real, imag) order: a value starts a new
     one unless it lies within `cut` of an earlier one.  Every value then joins
-    its nearest representative, so each value counts once.  The caller scales
-    `cut` by the norm of the matrix the values belong to.  One or two values
-    (a 2x2 matrix, a complex pair) skip numpy: the result is the same list,
-    signed zeros included, with each mean summed from 0.0 in input order.
+    its first nearest representative, so each value counts once.  The caller
+    scales `cut` by the norm of the matrix the values belong to.  The inputs
+    are a few eigenvalues, so the grouping runs on Python complex numbers:
+    each cluster's parts are summed from 0.0 in input order and multiplied by
+    1/size, the rounding of numpy's `bincount` and complex division.
     """
-    values = np.asarray(values, dtype=complex).ravel()
-    if not 0 < values.size <= 2:
-        return _greedy_clusters(values, cut)
-    zs = values.tolist()
-    reps = sorted(zs, key=lambda z: (z.real, z.imag))
-    if len(reps) == 2 and not abs(reps[1] - reps[0]) <= cut:
-        return [(_mean([z]), 1) for z in reps]
-    return [(_mean(zs), len(zs))]
-
-
-def _mean(zs: list[complex]) -> complex:
-    re = im = 0.0
-    for z in zs:
-        re, im = re + z.real, im + z.imag
-    return complex(re / len(zs), im / len(zs))
-
-
-def _greedy_clusters(values: np.ndarray, cut: float) -> list[tuple[complex, int]]:
-    """`eigenvalue_clusters` of a flat complex array, with numpy."""
+    zs = np.asarray(values, dtype=complex).ravel().tolist()
     reps: list[complex] = []
-    for v in sorted(values, key=lambda z: (z.real, z.imag)):
+    for v in sorted(zs, key=lambda z: (z.real, z.imag)):
         if not any(abs(v - r) <= cut for r in reps):
             reps.append(v)
-    k = len(reps)
-    nearest = np.argmin(np.abs(values[:, None] - np.array(reps)[None, :]), axis=1)
-    sizes = np.bincount(nearest, minlength=k)
-    means = (np.bincount(nearest, values.real, k) + 1j * np.bincount(nearest, values.imag, k)) / sizes
-    return [(complex(z), int(m)) for z, m in zip(means, sizes)]
+    sums = [[0.0, 0.0, 0] for _ in reps]
+    for v in zs:
+        dist = [abs(v - r) for r in reps]
+        acc = sums[dist.index(min(dist))]
+        acc[0] += v.real
+        acc[1] += v.imag
+        acc[2] += 1
+    return [(complex(re * (1.0 / m), im * (1.0 / m)), m) for re, im, m in sums]
 
 
 class _Cluster:

@@ -87,6 +87,12 @@ def _scalar_defect(a: float, b: float, c: float, d: float) -> float:
     return math.hypot(a - h, b, c, d - h)
 
 
+def _negdet(a: float, b: float, c: float, d: float, eps: float) -> bool:
+    """`classify2`'s NegDet test on the entries of [[a, b], [c, d]]."""
+    s = math.hypot(a, b, c, d)
+    return a * d - b * c < -eps * s * s
+
+
 def _eigvec_2x2(a: float, b: float, c: float, d: float, lam: float) -> np.ndarray:
     """Unit eigenvector of [[a, b], [c, d]] for the real eigenvalue lam, from
     the larger row of A - lam I, signed as `linalg.fix_sign` signs it."""
@@ -139,7 +145,7 @@ def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
     if _scalar_defect(a, b, c, d) <= eps * s:
         return EigenFrame2(KIND_DIAG, t / 2.0, t / 2.0, None, None, True, t, det)
 
-    negdet = det < -eps * s * s
+    negdet = _negdet(a, b, c, d, eps)
     if negdet or disc > eps * s * s:
         root = math.sqrt(max(disc, 0.0))
         lam1, lam2 = (t + root) / 2.0, (t - root) / 2.0
@@ -271,13 +277,8 @@ def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMa
     if mats[0].shape[0] != 2:
         raise PreconditionFailed("the 2x2 procedures need 2x2 matrices")
     tagged = [TaggedMatrix(M, f"A{i}") for i, M in enumerate(mats)]
-    # `classify2`'s determinant test and distance from a scalar matrix, on the entries as floats
-    neg = []
-    for i, M in enumerate(mats):
-        a, b, c, d = M.ravel().tolist()
-        s = math.hypot(a, b, c, d)
-        if a * d - b * c < -tol.eig_cluster_tol * s * s:
-            neg.append(i)
+    # `classify2`'s NegDet test and distance from a scalar matrix, on the entries as floats
+    neg = [i for i, M in enumerate(mats) if _negdet(*M.ravel().tolist(), tol.eig_cluster_tol)]
     for i in neg:
         for j in neg:
             P = mats[i] @ mats[j]
@@ -428,7 +429,8 @@ def necessary_conditions(family, tol: ToleranceConfig = DEFAULT_TOL) -> Necessar
 def _proportional(M1: np.ndarray, M2: np.ndarray, tol: float) -> bool:
     f1, f2 = M1.ravel().tolist(), M2.ravel().tolist()
     n1, n2 = math.hypot(*f1), math.hypot(*f2)
-    return abs(abs(sum(x * y for x, y in zip(f1, f2))) - n1 * n2) <= tol * n1 * n2
+    dot = f1[0] * f2[0] + f1[1] * f2[1] + f1[2] * f2[2] + f1[3] * f2[3]
+    return abs(abs(dot) - n1 * n2) <= tol * n1 * n2
 
 
 def _verify_witness(family, K, tol) -> list[dict]:

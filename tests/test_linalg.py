@@ -12,7 +12,6 @@ from conelab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _degree_of,
-    _greedy_clusters,
     _norm,
     eigen_decompose,
     eigenvalue_clusters,
@@ -317,7 +316,23 @@ def test_eigenvalue_clusters_count_each_value_once():
     assert size == 3 and mean == pytest.approx(1 + 1j)
 
 
-_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-4.0, 4.0, allow_nan=False))
+def _numpy_clusters(values, cut):
+    """The grouping as numpy computes it: greedy representatives, `argmin`
+    for the first nearest one, `bincount` sums and a complex division."""
+    values = np.asarray(values, dtype=complex).ravel()
+    reps = []
+    for v in sorted(values, key=lambda z: (z.real, z.imag)):
+        if not any(abs(v - r) <= cut for r in reps):
+            reps.append(v)
+    k = len(reps)
+    nearest = np.argmin(np.abs(values[:, None] - np.array(reps)[None, :]), axis=1)
+    sizes = np.bincount(nearest, minlength=k)
+    means = (np.bincount(nearest, values.real, k) + 1j * np.bincount(nearest, values.imag, k)) / sizes
+    return [(complex(z), int(m)) for z, m in zip(means, sizes)]
+
+
+# A coarse grid makes values equidistant from two representatives common.
+_part = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, -1.0, 1.5]), st.floats(-4.0, 4.0))
 
 
 def _exact(clusters):
@@ -325,17 +340,17 @@ def _exact(clusters):
     return [(z, math.copysign(1.0, z.real), math.copysign(1.0, z.imag), m) for z, m in clusters]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.builds(complex, _part, _part), min_size=1, max_size=2),
-       st.sampled_from(["drawn", "at", "inside"]), st.floats(0.0, 4.0))
-def test_one_or_two_values_cluster_as_the_general_path_does(values, where, cut):
-    if len(values) == 2 and where != "drawn":
-        cut = abs(values[1] - values[0])  # exactly cut apart: one cluster
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.builds(complex, _part, _part), min_size=1, max_size=8),
+       st.sampled_from(["drawn", "at", "inside"]), st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 4.0))
+def test_eigenvalue_clusters_match_the_numpy_reference(values, where, cut):
+    if len(values) >= 2 and where != "drawn":
+        cut = abs(values[1] - values[0])  # exactly cut apart: within reach
         if where == "inside":
-            cut = math.nextafter(cut, 0.0)  # just over cut apart: two
-    fast = eigenvalue_clusters(values, cut)
-    assert _exact(fast) == _exact(_greedy_clusters(np.array(values, dtype=complex), cut))
-    assert all(type(z) is complex and type(m) is int for z, m in fast)
+            cut = math.nextafter(cut, 0.0)  # one ulp beyond reach
+    clusters = eigenvalue_clusters(values, cut)
+    assert _exact(clusters) == _exact(_numpy_clusters(values, cut))
+    assert all(type(z) is complex and type(m) is int for z, m in clusters)
 
 
 def test_tolerance_config_validation():
