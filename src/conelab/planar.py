@@ -87,6 +87,13 @@ def _scalar_defect(a: float, b: float, c: float, d: float) -> float:
     return math.hypot(a - h, b, c, d - h)
 
 
+def _in_float_range(a: float, b: float, c: float, d: float) -> bool:
+    """Whether the largest entry is 0 or within 2^-400..2^400, so that products
+    of two entries at its scale neither overflow nor underflow."""
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    return not m or 2.0 ** -400 < m < 2.0 ** 400
+
+
 def _negdet(a: float, b: float, c: float, d: float, eps: float) -> bool:
     """`classify2`'s NegDet test on the entries of [[a, b], [c, d]]."""
     s = math.hypot(a, b, c, d)
@@ -127,8 +134,7 @@ def classify2(A, tol: ToleranceConfig = DEFAULT_TOL) -> EigenFrame2:
     if M.shape[0] != 2:
         raise PreconditionFailed("classify2 expects a 2x2 matrix")
     a, b, c, d = M.ravel().tolist()
-    m = max(abs(a), abs(b), abs(c), abs(d))
-    if m and not 2.0 ** -400 < m < 2.0 ** 400:
+    if not _in_float_range(a, b, c, d):
         S, k = pow2_scaled(M)
         f = classify2(S, tol)
         return replace(f, lam1=_ldexp(f.lam1, -k), lam2=_ldexp(f.lam2, -k),
@@ -272,16 +278,21 @@ class TaggedMatrix:
 
 
 def extended_family(family, tol: ToleranceConfig = DEFAULT_TOL) -> list[TaggedMatrix]:
-    """Input family plus all non-scalar ordered products of its negative-determinant members."""
+    """Input family plus all non-scalar ordered products of its negative-determinant
+    members (a product may be a positive power-of-two multiple of A_i A_j)."""
     mats = square_family(family)
     if mats[0].shape[0] != 2:
         raise PreconditionFailed("the 2x2 procedures need 2x2 matrices")
     tagged = [TaggedMatrix(M, f"A{i}") for i, M in enumerate(mats)]
+    # Screen and multiply copies scaled by powers of two where entries could
+    # overflow or underflow, as `classify2` does: each product is then a
+    # finite positive multiple of A_i A_j, and unit-norm members pass unscaled.
+    scaled = [M if _in_float_range(*M.ravel().tolist()) else pow2_scaled(M)[0] for M in mats]
     # `classify2`'s NegDet test and distance from a scalar matrix, on the entries as floats
-    neg = [i for i, M in enumerate(mats) if _negdet(*M.ravel().tolist(), tol.eig_cluster_tol)]
+    neg = [i for i, M in enumerate(scaled) if _negdet(*M.ravel().tolist(), tol.eig_cluster_tol)]
     for i in neg:
         for j in neg:
-            P = mats[i] @ mats[j]
+            P = scaled[i] @ scaled[j]
             entries = P.ravel().tolist()
             if _scalar_defect(*entries) > tol.geom_tol * math.hypot(*entries):
                 tagged.append(TaggedMatrix(P, f"A{i}*A{j}"))

@@ -17,6 +17,7 @@ to a word-length bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ from .linalg import (
 
 _MAX_DRAWS = 8
 _MAX_SIDES = 256  # the largest N-gon a complex tail gets
+_CHUNK_ROWS = 4096  # exponent tuples searched per array pass, in whole sums
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,15 @@ class SimDiagForm:
     def num_blocks(self) -> int:
         return len(self.block_sizes)
 
+    @functools.cached_property
+    def _S_inv(self) -> np.ndarray:  # one inverse per form, shared by every member
+        return np.linalg.inv(self.S)
+
     def reconstruct(self, j: int) -> np.ndarray:
         d = np.concatenate([
             np.full(s, self.lambda_table[i, j]) for i, s in enumerate(self.block_sizes)
         ])
-        return np.real(self.S @ np.diag(d) @ np.linalg.inv(self.S))
+        return np.real(self.S @ np.diag(d) @ self._S_inv)
 
 
 @dataclass(frozen=True)
@@ -193,18 +199,32 @@ def simultaneous_diagonalize(family, tol: ToleranceConfig = DEFAULT_TOL, seed: i
     return form
 
 
-def _exponent_rows(n: int, bound: int):
-    """For t = 0..bound, the array of all n-tuples of nonnegative exponents
-    with sum t, one tuple per row, in lexicographic order."""
-    parts: list[list[np.ndarray]] = [[] for _ in range(n)]  # parts[k][s]: (k + 1)-tuples of sum s
-    for t in range(bound + 1):
-        parts[0].append(np.array([[t]]))
-        for k in range(1, n):
-            parts[k].append(np.vstack([
-                np.column_stack([np.full(len(parts[k - 1][t - f]), f), parts[k - 1][t - f]])
-                for f in range(t + 1)
-            ]))
-        yield t, parts[-1][t]
+@functools.cache
+def _exponent_chunks(n: int, bound: int):
+    """All n-tuples of nonnegative exponents with sum <= bound, one tuple per
+    row, ordered by sum and then lexicographically, with each row's sum.
+    Built once per (n, bound) and handed out as read-only (tuples, sums)
+    chunks: a chunk closes after the first whole sum that brings it to at
+    least _CHUNK_ROWS rows, and the last one takes the rest."""
+    dtype = np.min_scalar_type(bound)
+    P = np.zeros((1, 0), dtype=dtype)  # the (n - 1)-tuples with sum <= bound, in lexicographic order
+    for _ in range(n - 1):  # append one coordinate, 0..(bound - the row's sum so far), to every row
+        reps = bound + 1 - P.sum(axis=1, dtype=np.int64)
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        P = np.column_stack([np.repeat(P, reps, axis=0), (np.arange(len(starts)) - starts).astype(dtype)])
+    prefix = P.sum(axis=1, dtype=np.int64)
+    E = np.empty((math.comb(bound + n, n), n), dtype=dtype)
+    sums = np.empty(len(E), dtype=dtype)
+    cuts, at = [0], 0
+    for t in range(bound + 1):  # a tuple of sum t is a prefix of sum <= t and the rest, t - prefix
+        keep = prefix <= t
+        end = at + np.count_nonzero(keep)
+        E[at:end, :-1], E[at:end, -1], sums[at:end] = P[keep], t - prefix[keep], t
+        if end - cuts[-1] >= _CHUNK_ROWS or t == bound:
+            cuts.append(end)
+        at = end
+    E.flags.writeable = sums.flags.writeable = False
+    return tuple((E[a:b], sums[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 def _never_elected(form: SimDiagForm, indices, tol: ToleranceConfig):
@@ -234,27 +254,31 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
                        tol: ToleranceConfig = DEFAULT_TOL) -> DominantIndexSet:
     """The blocks elected dominant by some exponent tuple of sum <= bound.
 
-    One exponent sum t at a time, the rows of E_t (that sum's tuples, in
-    lexicographic order) give the product's diagonal as `E_t @ log|L|^T`
-    and `E_t @ arg L^T` over the eigenvalue table L; a zero eigenvalue makes
-    a block's product zero exactly when its exponent is positive.  A tuple's
-    candidate set holds the blocks whose product is within the clustering
-    tolerance of the top modulus and real nonnegative (or zero).  The
-    elected block is the first candidate whose reference eigenvalue b is
-    real, positive and of maximal |b| over the candidates; failing that, the
-    candidate of largest Re b, with a note.  Each elected block's witness is
-    the first tuple that elected it.
+    The exponent tuples z of the products A_1^z_1 ... A_n^z_n, ordered by
+    sum t = 0..bound and then lexicographically, form a table that is built
+    once per (n, bound) and searched in read-only chunks of whole sums.  One
+    pass over a chunk's rows E gives every product's diagonal as
+    `E @ log|L|^T` and `E @ arg L^T` over the eigenvalue table L; a zero
+    eigenvalue makes a block's product zero exactly when its exponent is
+    positive.  A tuple's candidate set holds the blocks whose product is
+    within the clustering tolerance of the top modulus and real nonnegative
+    (phase within 1e-8 (1 + t)) or zero.  The elected block is the first
+    candidate whose reference eigenvalue b is real, positive and of maximal
+    |b| over the candidates; failing that, the candidate of largest Re b,
+    with a note.  Each elected block's witness is the first tuple that
+    elected it.
 
     A tuple with no candidate is a non-Vandergraft product: the search ends
-    with the sum it belongs to and raises `NonVandergraftProduct` carrying
-    the first such tuple and the partial set, which do not depend on the
-    member order.  Otherwise, for spectra without zero eigenvalues, `exact`
-    certifies that no larger bound adds a block.  Each block outside the set
-    is settled by the array tests of `_never_elected` first: (a) another
-    block beats it in every member, or (b) an elected block covers it
-    through the tie-break.  Only a block that neither settles gets an LP over
-    the log-moduli, which certifies that it is weakly maximal in no
-    nonnegative direction; scipy's `linprog` is imported only then.
+    with the sum it belongs to, so no later chunk is searched, and raises
+    `NonVandergraftProduct` carrying the first such tuple and the partial
+    set, which do not depend on the member order.  Otherwise, for spectra
+    without zero eigenvalues, `exact` certifies that no larger bound adds a
+    block.  Each block outside the set is settled by the array tests of
+    `_never_elected` first: (a) another block beats it in every member, or
+    (b) an elected block covers it through the tie-break.  Only a block that
+    neither settles gets an LP over the log-moduli, which certifies that it
+    is weakly maximal in no nonnegative direction; scipy's `linprog` is
+    imported only then.
     """
     if bound < 0:
         raise PreconditionFailed(f"the exponent-sum bound must be nonnegative, got {bound}")
@@ -263,16 +287,25 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
     with np.errstate(divide="ignore"):
         logmag = np.where(zero, 0.0, np.log(np.abs(L)).T)
     phase = np.angle(L).T
+    has_zero = bool(zero.any())
     b = form.b
     witnesses: dict[int, tuple[int, ...]] = {}
     notes: list[str] = []
     failed = None
-    for t, E in _exponent_rows(form.family_size, bound):
-        logs = np.where(E @ zero > 0, -np.inf, E @ logmag)
+    for E, sums in _exponent_chunks(form.family_size, bound):
+        logs = E @ logmag
+        if has_zero:
+            logs[(E > 0) @ zero] = -np.inf
         maxv = logs.max(axis=1, keepdims=True)
         top = logs >= maxv - tol.eig_cluster_tol * (1.0 + np.abs(maxv))  # all blocks when maxv = -inf
         wrapped = np.abs((E @ phase + np.pi) % (2.0 * np.pi) - np.pi)
-        omega = top & ((wrapped <= 1e-8 * (1.0 + t)) | (logs == -np.inf))
+        omega = top & ((wrapped <= 1e-8 * (1.0 + sums[:, None])) | (logs == -np.inf))
+        elected = omega.any(axis=1)
+        if not elected.all():  # the search ends with the sum of the first failing tuple
+            r = int(np.argmin(elected))
+            failed = tuple(E[r].tolist())
+            end = int(np.searchsorted(sums, sums[r], side="right"))
+            E, omega, elected = E[:end], omega[:end], elected[:end]
 
         target = np.where(omega, np.abs(b), -np.inf).max(axis=1, keepdims=True)
         eps = tol.eig_cluster_tol * target
@@ -280,15 +313,13 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
         has_strict = strict.any(axis=1)
         pick = np.where(has_strict, strict.argmax(axis=1),
                         np.where(omega, b.real, -np.inf).argmax(axis=1))
-        elected = omega.any(axis=1)
         for r in np.flatnonzero(elected & ~has_strict):
             notes.append(f"tie-break fallback (largest real part) at exponents {tuple(E[r].tolist())}")
         rows = np.flatnonzero(elected)
         _, first = np.unique(pick[rows], return_index=True)
         for r in np.sort(rows[first]):
             witnesses.setdefault(int(pick[r]), tuple(E[r].tolist()))
-        if not elected.all():
-            failed = tuple(E[np.argmin(elected)].tolist())
+        if failed is not None:
             break
     indices = set(witnesses)
     if failed is not None:
@@ -296,7 +327,7 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
                                    tuple(notes) + (f"aborted at non-Vandergraft tuple {failed}",))
         raise NonVandergraftProduct(failed, partial=partial)
 
-    if zero.any():
+    if has_zero:
         notes.append("zero eigenvalues present; completeness certificate unavailable")
         return DominantIndexSet(frozenset(indices), witnesses, bound, False, tuple(notes))
     dominated, covered = _never_elected(form, indices, tol)

@@ -302,6 +302,16 @@ class TestExtendedFamily:
         with pytest.raises(PreconditionFailed):
             decide([np.diag([1.0, -1.0, 1.0])])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    def test_products_formed_at_any_scale(self, scale):
+        # swap reflection and diag(2, -1): both NegDet, and their product is not Vandergraft
+        fam = [scale * np.array([[0.0, 1.0], [1.0, 0.0]]), scale * np.diag([2.0, -1.0])]
+        ext = extended_family(fam)
+        assert [t.label for t in ext] == ["A0", "A1", "A0*A1", "A1*A0", "A1*A1"]
+        assert all(np.isfinite(t.matrix).all() and np.abs(t.matrix).max() > 0 for t in ext)
+        rep = necessary_conditions(fam)
+        assert (rep.failed, rep.evidence) == ("NotVandergraftInA1", {"member": "A0*A1"})
+
     def test_scalar_products_excluded(self):
         A = np.array([[1.0, 1.0], [0.0, -1.0]])  # A @ A = I
         ext = extended_family([A, A])

@@ -1,16 +1,17 @@
-import itertools
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from _gen import commuting_diag_2x2, contractive_commuting_blocks
+from _gen import _rotation, commuting_diag_2x2, contractive_commuting_blocks
+from conelab import simdiag
 from conelab.cones import contains, is_invariant, is_proper
 from conelab.errors import NonVandergraftProduct, NotCommuting, NotDiagonalizable, PreconditionFailed
 from conelab.fixtures import ex7_5
 from conelab.linalg import DEFAULT_TOL, unit_members
 from conelab.planar import decide_common_2x2
 from conelab.simdiag import (
+    _CHUNK_ROWS,
+    _exponent_chunks,
     _never_elected,
     construct_simdiag_cone,
     decide_simdiag,
@@ -20,10 +21,21 @@ from conelab.simdiag import (
 
 # blocks e1 and e2 tie in the first member; e1 wins every tie through b
 TIED = [np.diag([2.0, 2.0, 1.0]), np.diag([3.0, 1.5, 1.0])]
+TIED_MORE = [np.diag([1.0, 1.0, 0.5]), np.diag([2.0, 1.0, 1.0]), np.diag([1.5, 1.5, 1.0])]
 
 
 def table_rows(form):
     return {tuple(np.round(row, 8)) for row in form.lambda_table}
+
+
+def tuples_of_sum(t, n):
+    """The n-tuples of nonnegative integers with sum t, in lexicographic order."""
+    if n == 1:
+        yield (t,)
+        return
+    for f in range(t + 1):
+        for rest in tuples_of_sum(t - f, n - 1):
+            yield (f,) + rest
 
 
 def reference_dominant_set(form, bound, tol=DEFAULT_TOL):
@@ -34,7 +46,7 @@ def reference_dominant_set(form, bound, tol=DEFAULT_TOL):
     L, b, eps_rel = form.lambda_table, form.b, tol.eig_cluster_tol
     witnesses, notes, failed = {}, [], None
     for t in range(bound + 1):
-        for exps in sorted(e for e in itertools.product(range(t + 1), repeat=form.family_size) if sum(e) == t):
+        for exps in tuples_of_sum(t, form.family_size):
             logs, phases = np.zeros(form.num_blocks), np.zeros(form.num_blocks)
             for j, e in enumerate(exps):
                 if e:  # a zero exponent contributes nothing, even on a zero eigenvalue
@@ -215,6 +227,111 @@ class TestDominantIndexSet:
                 assert list(ds.notes) == notes
                 assert ds.exact == exact
         assert 0 < aborts < 3 * len(forms)
+
+
+# Member 0 is negative on e2, and e2 tops e1 (all ones) exactly when the other
+# exponents sum to more than 9.5 times z_0: the first non-Vandergraft product
+# is (1, 0, 0, 0, 0, 10), of sum 11.
+LATE_NO = [np.diag([1.0, -2.0 ** -9.5])] + [np.diag([1.0, 2.0])] * 5
+# With x, y the exponents of members 0 and 5, ten times the log-moduli on
+# e1, e2, e3 are x - y/10, y/10 - x and 0.06 x: e3 is top only for
+# 9.4 < y/x < 10.6, so the first tuple to elect it is (1, 0, 0, 0, 0, 10), of sum 11.
+LATE_YES = ([np.diag(np.exp([0.1, -0.1, 0.006]))] + [np.eye(3)] * 4
+            + [np.diag(np.exp([-0.01, 0.01, 0.0]))])
+
+
+def positive_heads(rng, count):
+    """Commuting members of two positive real blocks and a smaller complex pair:
+    every product is Vandergraft, and both heads can be elected."""
+    T = rng.normal(size=(4, 4))
+    fam = []
+    for _ in range(count):
+        D = np.zeros((4, 4))
+        D[0, 0], D[1, 1] = rng.uniform(0.6, 1.0, size=2)
+        D[2:, 2:] = rng.uniform(0.1, 0.5) * _rotation(rng.uniform(0, 2 * np.pi))
+        fam.append(T @ D @ np.linalg.inv(T))
+    return fam
+
+
+def assert_matches_reference(form, bound):
+    """`dominant_index_set` agrees with the per-tuple rule; returns the failed tuple or None."""
+    indices, witnesses, notes, exact, failed = reference_dominant_set(form, bound)
+    if failed is None:
+        ds = dominant_index_set(form, bound)
+    else:
+        with pytest.raises(NonVandergraftProduct) as err:
+            dominant_index_set(form, bound)
+        assert err.value.exponents == failed
+        ds = err.value.partial
+    assert (ds.indices, ds.witnesses, list(ds.notes), ds.exact) == (indices, witnesses, notes, exact)
+    return failed
+
+
+class TestChunkedSearch:
+    """The tuple table is built once per (n, bound) and searched in read-only chunks of whole sums."""
+
+    @pytest.mark.parametrize("n, bound", [(1, 0), (2, 8), (5, 12), (6, 12)])
+    def test_table_order_and_chunks(self, n, bound):
+        chunks = _exponent_chunks(n, bound)
+        rows = [tuple(r) for E, _ in chunks for r in E.tolist()]
+        assert rows == [z for t in range(bound + 1) for z in tuples_of_sum(t, n)]
+        assert [t for _, sums in chunks for t in sums.tolist()] == [sum(z) for z in rows]
+        for k, (E, sums) in enumerate(chunks):
+            if k + 1 < len(chunks):  # a chunk closes after the first whole sum that fills it
+                assert len(E) >= _CHUNK_ROWS > len(E) - np.count_nonzero(sums == sums[-1])
+                assert chunks[k + 1][1][0] == sums[-1] + 1
+        assert len(chunks) == (3 if (n, bound) == (6, 12) else 2 if n == 5 else 1)
+
+    def test_chunks_are_read_only(self):
+        for E, sums in _exponent_chunks(3, 30):
+            assert not E.flags.writeable and not sums.flags.writeable
+            with pytest.raises(ValueError):
+                E[0, 0] = 1
+
+    def test_table_built_once_per_size(self):
+        form = simultaneous_diagonalize(unit_members(TIED))
+        dominant_index_set(form, bound=7)
+        before = _exponent_chunks.cache_info()
+        dominant_index_set(form, bound=7)
+        after = _exponent_chunks.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+
+    def test_matches_reference_across_chunks(self):
+        forms = [simultaneous_diagonalize(unit_members(positive_heads(np.random.default_rng(s), 5 + s % 2)))
+                 for s in range(2)]
+        forms += [simultaneous_diagonalize(unit_members(contractive_commuting_blocks(
+            np.random.default_rng(s), 3 + s % 2, 5 + s % 2))) for s in range(2)]
+        forms.append(simultaneous_diagonalize(LATE_YES))
+        forms.append(simultaneous_diagonalize(LATE_NO))
+        forms.append(simultaneous_diagonalize([np.diag([-2.0, 1.0])] + [np.diag([1.0, 2.0])] * 5))
+        failed = [assert_matches_reference(form, 12) for form in forms]
+        assert failed[:2] == [None] * 2 and failed[-3] is None
+        assert (1, 0, 0, 0, 0, 10) in dominant_index_set(forms[-3], 12).witnesses.values()
+        assert failed[-2:] == [(1, 0, 0, 0, 0, 10), (1, 0, 0, 0, 0, 0)]
+
+    def test_tied_five_members_exact_at_every_bound(self):
+        # 53,130 tuples of sum <= 20, in several chunks; the tie-break settles the tied block
+        members = unit_members(TIED + TIED_MORE)
+        form = simultaneous_diagonalize(members)
+        sets = [dominant_index_set(form, bound) for bound in (0, 8, 20)]
+        assert len(_exponent_chunks(5, 20)) > 1
+        assert all(ds.exact and ds.indices == sets[0].indices for ds in sets)
+        (i,) = sets[0].indices  # the e1 block
+        assert np.allclose(form.lambda_table[i], [M[0, 0] for M in members])
+
+    def test_no_evaluates_no_later_chunk(self, monkeypatch):
+        seen, real = [], _exponent_chunks
+
+        def recording(n, bound):
+            for k, chunk in enumerate(real(n, bound)):
+                seen.append(k)
+                yield chunk
+
+        monkeypatch.setattr(simdiag, "_exponent_chunks", recording)
+        with pytest.raises(NonVandergraftProduct) as err:
+            dominant_index_set(simultaneous_diagonalize(LATE_NO), 12)
+        assert err.value.exponents == (1, 0, 0, 0, 0, 10)
+        assert seen == [0, 1]  # sums 0-9, then 10-11; sum 12 is never searched
 
 
 @pytest.fixture
