@@ -6,10 +6,13 @@ form on its orthogonal complement.  Membership for polyhedral cones is one
 nonnegative least-squares projection of the unit vector onto the unit
 generators, so every query also yields a distance.  Projections onto a ray
 or onto a pointed cone in the plane are answered in closed form, so the 2x2
-route does not load scipy; scipy is imported only by the calls that need it.
-Invariance is decided exactly for both shapes: by the images of the
-generators, and for quadratic cones by an S-lemma certificate plus a
-dual-cone test (see `is_invariant`).  A generator image within rounding of
+route does not load scipy; scipy's NNLS is imported only by the polyhedral
+projections that need it.  Quadratic cones use numpy alone: their
+membership, distance and invariance tests never load scipy.
+Invariance is decided for both shapes: by the images of the generators,
+and for quadratic cones by an S-lemma certificate plus a dual-cone test,
+with a NO backed by an explicit point of K whose image leaves K (see
+`is_invariant`).  A generator image within rounding of
 zero (||A g|| < 8 d eps ||A||) counts as the zero vector, since its computed
 direction is noise.
 """
@@ -277,10 +280,26 @@ def _quad_distance(K: QuadraticCone, v: np.ndarray) -> float:
     if c0 <= 0 and polar_q <= c0 * c0:
         return nv
 
+    dl, wl = d.tolist(), w0.tolist()
+
     def g(mu):
-        wi = w0 / (1.0 + mu * d)
-        ci = c0 / (1.0 - mu)
-        return float(np.sum(d * wi * wi) - ci * ci)
+        """|w|_d^2 - c^2 at the KKT point of multiplier mu: monotone on each bracket."""
+        q = 0.0
+        for di, wi in zip(dl, wl):
+            w = wi / (1.0 + mu * di)
+            q += di * w * w
+        c = c0 / (1.0 - mu)
+        return q - c * c  # products, not powers: an overflow gives inf, not an error
+
+    def root(lo, hi):
+        """The sign change of g in [lo, hi], bisected to 1e-14 or to adjacent floats."""
+        lo_negative = g(lo) < 0
+        while hi - lo > 1e-14 and lo < (mid := 0.5 * (lo + hi)) < hi:
+            if (g(mid) < 0) == lo_negative:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
     def point(mu):
         w = w0 / (1.0 + mu * d)
@@ -290,19 +309,17 @@ def _quad_distance(K: QuadraticCone, v: np.ndarray) -> float:
             c = max(c0 / (1.0 - mu), 0.0)
         return c * K.axis + K.complement_basis @ (W @ w)
 
-    from scipy.optimize import brentq
-
     mu = None
     thresh = 1e-9 * nv
     if c0 > thresh:
         if g(1.0 - 1e-12) < 0:
-            mu = brentq(g, 0.0, 1.0 - 1e-12, xtol=1e-14, maxiter=200)
+            mu = root(0.0, 1.0 - 1e-12)
     elif c0 < -thresh:
         hi = 2.0
         while g(hi) < 0 and hi < 1e12:
             hi *= 4.0
         if g(1.0 + 1e-12) < 0 <= g(hi):
-            mu = brentq(g, 1.0 + 1e-12, hi, xtol=1e-14, maxiter=200)
+            mu = root(1.0 + 1e-12, hi)
     # Fall back to the boundary solution with c determined by the constraint
     # (the exact limit for c0 = 0, a conservative upper bound otherwise).
     candidates = [point(1.0) if mu is None else point(mu), np.zeros(K.dim)]
@@ -424,20 +441,21 @@ def prune_generators(K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_TOL) -> P
     return PolyhedralCone(K.dim, np.array(sorted(rows, key=lambda v: tuple(v))))
 
 
-def _violating_direction(Q: np.ndarray, P: np.ndarray, t_start: float) -> np.ndarray:
-    """v with v^T Q v <= 0 < v^T P v, given that no t >= 0 makes tQ - P PSD.
+def _violating_direction(Q: np.ndarray, P: np.ndarray, t_start: float) -> tuple[float, np.ndarray]:
+    """The maximiser t* of the concave t -> lambda_min(tQ - P) over t >= 0, and a
+    v with v^T Q v <= 0 < v^T P v when lambda_min(t*Q - P) < 0.
 
     For the lambda_min eigenvector v_t of tQ - P, v_t^T Q v_t is a
-    supergradient of the concave t -> lambda_min(tQ - P).  Bisection on its
-    sign brackets the maximiser t*; the eigenvectors on both sides combine
-    into one with v^T Q v = 0, where v^T P v = -lambda_min(t*Q - P) > 0.
+    supergradient of lambda_min(tQ - P).  Bisection on its sign brackets t*;
+    the eigenvectors on both sides combine into one with v^T Q v = 0, where
+    v^T P v = -lambda_min(t*Q - P).
     """
     def vec(t):
         return np.linalg.eigh(t * Q - P)[1][:, 0]
 
     lo, v_lo = 0.0, vec(0.0)
     if v_lo @ Q @ v_lo <= 0:
-        return v_lo
+        return 0.0, v_lo
     hi = max(t_start, 1.0)
     v_hi = vec(hi)
     while v_hi @ Q @ v_hi > 0:  # as t grows, v_t tends to the axis
@@ -453,20 +471,26 @@ def _violating_direction(Q: np.ndarray, P: np.ndarray, t_start: float) -> np.nda
     if v_lo @ v_hi < 0:
         v_lo = -v_lo
     a, b, c = v_hi @ Q @ v_hi, v_hi @ Q @ v_lo, v_lo @ Q @ v_lo
-    return v_hi + (np.sqrt(b * b - a * c) - b) / c * v_lo
+    return 0.5 * (lo + hi), v_hi + (np.sqrt(b * b - a * c) - b) / c * v_lo
 
 
 def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> InvarianceReport:
-    """Exact invariance test for K = {v : v^T Q v <= 0, x^T v >= 0}, x the axis.
+    """Invariance test for K = {v : v^T Q v <= 0, x^T v >= 0}, x the axis.
 
     S-lemma: A maps K into K u -K iff some t >= 0 makes tQ - A^T Q A positive
-    semidefinite; as x^T Q x = -1, such t is at most -x^T A^T Q A x.  The
-    concave t -> lambda_min(tQ - A^T Q A) is nonnegative on an interval whose
-    ends are 0 or real generalized eigenvalues of (A^T Q A, Q), so those
-    points and the midpoints between them decide the certificate; all of
-    them are scanned in one stacked `eigvalsh` call.  A cone
-    inside K u -K lies in K iff its axis components are nonnegative, i.e. iff
-    A^T x is in the dual cone K* (axis x, form V^-1).
+    semidefinite; as x^T Q x = -1, such t is at most t_max = -x^T A^T Q A x.
+    The concave t -> lambda_min(tQ - A^T Q A) is nonnegative on an interval
+    whose ends are 0 or real generalized eigenvalues of (A^T Q A, Q).  These
+    are taken as the eigenvalues of Q^-1 A^T Q A (Q is nonsingular, of
+    signature (1, d-1)); 0, t_max, the candidates between them and the
+    midpoints of all of these are scanned in one stacked `eigvalsh` call.
+    The candidates are only approximate, so a scan whose best margin is below
+    -geom_tol is not yet a NO: the supergradient bisection of
+    `_violating_direction` finds the maximiser t*, and the test goes on at t*
+    if its margin is at least -geom_tol, and otherwise answers NO with the
+    bisection's violating point.  A cone inside K u -K lies in K iff its axis
+    components are nonnegative, i.e. iff A^T x is in the dual cone K* (axis x,
+    form V^-1).
     """
     scale = _norm(A)
     An = A / scale if scale > 0 else A  # positive scaling keeps invariance
@@ -477,16 +501,24 @@ def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> I
     t_max = -float(x @ P @ x)
     ts = np.array([0.0])
     if t_max > 0:
-        from scipy.linalg import eigvals
-
-        gen = eigvals(P, Q).real
+        try:
+            gen = np.linalg.eigvals(np.linalg.solve(Q, P)).real
+        except np.linalg.LinAlgError:
+            gen = np.empty(0)
         ts = np.unique(np.concatenate([ts, [t_max], gen[(gen > 0) & (gen < t_max)]]))
         ts = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])])
     # relative lambda_min at every t; ties go to the larger t
     margins = np.linalg.eigvalsh(ts[:, None, None] * Q - P)[:, 0] / (K._ambient_norm * (1.0 + ts))
     margin, t = max(zip(margins.tolist(), ts.tolist()))
 
-    if margin >= -tol.geom_tol:
+    p = None
+    if margin < -tol.geom_tol:
+        t_star, p = _violating_direction(Q, P, t_max)
+        t_star = min(t_star, max(t_max, 0.0))  # no t > t_max can certify
+        margin_star = float(np.linalg.eigvalsh(t_star * Q - P)[0]) / (K._ambient_norm * (1.0 + t_star))
+        if margin_star >= -tol.geom_tol:
+            margin, t, p = margin_star, t_star, None
+    if p is None:
         # Dual-cone test at the point p = x + B z (z^T V z <= 1) of K
         # that minimizes the axis component x^T A p of its image.
         h = An.T @ x
@@ -496,9 +528,8 @@ def _quad_invariance(K: QuadraticCone, A: np.ndarray, tol: ToleranceConfig) -> I
         p = x - (B @ Vg) / r if r > 0 else x
         if float(h @ p) >= -tol.geom_tol * float(np.linalg.norm(p)):
             return InvarianceReport(True, 0.0, "psd", psd_margin=margin, multiplier=t * scale * scale)
-    else:
-        p = _violating_direction(Q, P, t_max)
-        p = p if float(x @ p) >= 0 else -p
+    elif float(x @ p) < 0:
+        p = -p
     return InvarianceReport(False, _quad_distance(K, A @ p), "psd",
                             worst=("point", 0, p.tolist()), psd_margin=margin)
 
@@ -509,8 +540,8 @@ def is_invariant(K: ConeRep, A, tol: ToleranceConfig = DEFAULT_TOL) -> Invarianc
     Polyhedral: generator-mapping test (images of generators stay in K).
     An image with ||A g|| < 8 d eps ||A|| is rounding-level: its direction
     carries no information, so it counts as the zero vector, which is in K.
-    Quadratic (method "psd", exact): some t >= 0 makes tQ - A^T Q A positive
-    semidefinite and A^T axis lies in the dual cone.  A YES records t as
+    Quadratic (method "psd"): some t >= 0 makes tQ - A^T Q A positive
+    semidefinite to geom_tol and A^T axis lies in the dual cone.  A YES records t as
     `multiplier`; a NO names a point of K whose image leaves K.
     """
     M = as_square_matrix(A)

@@ -231,13 +231,17 @@ def _series_sum(mats) -> np.ndarray:
 
     Summing out one exponent at a time, last member first, makes each stage
     the solution of one Stein equation X = A* X A + W (unique because
-    rho(A) < 1), which is solved directly instead of term by term.
+    rho(A) < 1), which is solved directly instead of term by term: with
+    a = A*, row-major vec(a X a*) = kron(a, conj(a)) vec(X), so vec(X) solves
+    the m^2 x m^2 system (I - kron(a, conj(a))) vec(X) = vec(W).  That is
+    scipy's `solve_discrete_lyapunov` method "direct"; its O(m^6) cost is
+    small at the block sizes met here.
     """
-    from scipy.linalg import solve_discrete_lyapunov
-
-    W = np.eye(mats[0].shape[0], dtype=complex)
+    m = mats[0].shape[0]
+    W = np.eye(m, dtype=complex)
     for A in reversed(mats):
-        W = solve_discrete_lyapunov(A.conj().T, W)
+        a = A.conj().T
+        W = np.linalg.solve(np.eye(m * m) - np.kron(a, a.conj()), W.ravel()).reshape(m, m)
     return W
 
 

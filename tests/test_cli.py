@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -508,3 +509,71 @@ def test_startup_and_2x2_route_load_no_scipy(emit, tmp_path):
                            str(tmp_path / "d.json"), str(tmp_path / "cone.json")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+QUADRATIC_PROBE = """
+import contextlib
+import io
+import json
+import sys
+from conelab import cli
+
+jordan, normal, tilted, out, cone = sys.argv[1:]
+for family in (jordan, normal):
+    assert cli.main(["common", family, "--reproducible", "--out", out]) == 0
+    with open(out) as fh:
+        decision = json.load(fh)
+    assert decision["route"] == "shared-dominant" and decision["witness"]["type"] == "quadratic", decision
+    with open(cone, "w") as fh:
+        json.dump(decision["witness"], fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", family, cone]) == 0
+text = io.StringIO()
+with contextlib.redirect_stdout(text):
+    assert cli.main(["verify", tilted, cone]) == 1
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not scipy, scipy[:5]
+print(text.getvalue())
+"""
+
+
+def test_shared_dominant_route_and_quadratic_verify_load_no_scipy(tmp_path):
+    """A shared-dominant YES (a commuting Jordan family, and a normal family
+    answered with an ice-cream cone), `verify` of both witnesses, and a
+    `verify` that reports a VIOLATION import no scipy module.  The violation's
+    distance is the projection onto the cone, checked against its closed
+    form for the 45-degree ice-cream cone."""
+    def write(name, mats):
+        path = tmp_path / name
+        path.write_text(json.dumps({"schema": "conelab/family-v1", "dimension": 3,
+                                    "matrices": [np.asarray(M, dtype=float).tolist() for M in mats]}))
+        return str(path)
+
+    def rotation(deg):
+        c, s = np.cos(np.radians(deg)), np.sin(np.radians(deg))
+        return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    # the commuting Jordan family of the CI entry-point check: simdiag cannot diagonalize it
+    T = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    jordan = [c * T @ np.array([[1.0, 0.0, 0.0], [0.0, a, b], [0.0, 0.0, a]]) @ np.linalg.inv(T)
+              for c, a, b in ((1.0, 0.5, 0.4), (1.5, 0.35, 0.16))]
+    # normal members sharing the dominant e1 that do not commute
+    normal = [np.diag([2.0, 0.5, -0.3]), np.diag([2.0, 1.0, 1.0])]
+    normal[1][1:, 1:] = 0.6 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    # tilts the 45-degree cone about e1 by 50 degrees: part of its image leaves the cone
+    tilted = rotation(50.0) @ np.diag([1.0, 0.5, 0.7])
+    src = str(Path(conelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", QUADRATIC_PROBE, write("jordan.json", jordan),
+                           write("normal.json", normal), write("tilted.json", [tilted]),
+                           str(tmp_path / "d.json"), str(tmp_path / "cone.json")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.splitlines()[0]
+    assert line.startswith("A0: VIOLATION (method=psd, max distance ")
+    distance = float(line.split("max distance ")[1].split(")")[0])
+    p = np.array(ast.literal_eval(line.split("worst=")[1])[2])
+    w = tilted @ p
+    c, r = w[0], np.linalg.norm(w[1:])
+    assert 0.0 < c < r  # outside the cone, on the axis side of the apex: the projection root runs
+    assert distance == pytest.approx((r - c) / np.sqrt(2.0), rel=1e-3)

@@ -25,7 +25,7 @@ from conelab.cones import (
     unit,
 )
 from conelab.errors import DimensionMismatch, EmptyInput
-from conelab.linalg import DEFAULT_TOL
+from conelab.linalg import DEFAULT_TOL, _norm
 
 
 def ice_cream(dim=3):
@@ -36,6 +36,61 @@ def ice_cream(dim=3):
 
 def gen_set(K):
     return {tuple(np.round(g, 9)) for g in K.generators}
+
+
+def qz_reference_verdict(K, A, tol=DEFAULT_TOL):
+    """The quadratic invariance verdict with S-lemma candidates from scipy's QZ.
+
+    The generalized eigenvalues of (A^T Q A, Q), 0, t_max and the midpoints
+    are scanned for lambda_min(tQ - A^T Q A) >= -geom_tol ||Q|| (1 + t); a
+    certificate then needs A^T axis in the dual cone.
+    """
+    from scipy.linalg import eigvals
+
+    scale = _norm(A)
+    An = A / scale
+    Q = K.ambient_form()
+    P = An.T @ Q @ An
+    P = 0.5 * (P + P.T)
+    x, B = K.axis, K.complement_basis
+    t_max = -float(x @ P @ x)
+    ts = np.array([0.0])
+    if t_max > 0:
+        gen = eigvals(P, Q).real
+        ts = np.unique(np.concatenate([ts, [t_max], gen[(gen > 0) & (gen < t_max)]]))
+        ts = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])])
+    margins = np.linalg.eigvalsh(ts[:, None, None] * Q - P)[:, 0] / (np.linalg.norm(Q, 2) * (1.0 + ts))
+    if margins.max() < -tol.geom_tol:
+        return False
+    h = An.T @ x
+    g = B.T @ h
+    Vg = np.linalg.solve(K.form, g)
+    r = math.sqrt(max(float(g @ Vg), 0.0))
+    p = x - (B @ Vg) / r if r > 0 else x
+    return float(h @ p) >= -tol.geom_tol * float(np.linalg.norm(p))
+
+
+def random_quadratic_case(rng):
+    """A quadratic cone in dimension 2..6 whose form has cond(V) = 1, 1e4, 1e8
+    or 1e12, and one member: Gaussian, near the axis (2 x x^T plus a
+    1e-4..1e-1 perturbation), or axis-sharing with the complement scaled by
+    0.5..1.1 in V's metric, so that many members are nearly invariant."""
+    d = int(rng.integers(2, 7))
+    x = rng.normal(size=d)
+    x /= np.linalg.norm(x)
+    B = np.linalg.qr(np.column_stack([x, rng.normal(size=(d, d - 1))]))[0][:, 1:]
+    U = np.linalg.qr(rng.normal(size=(d - 1, d - 1)))[0]
+    spread = 10.0 ** rng.uniform(0.0, [0.0, 4.0, 8.0, 12.0][rng.integers(4)], size=d - 1)
+    K = QuadraticCone(d, x, U @ np.diag(spread) @ U.T, B)
+    G = rng.normal(size=(d, d))
+    kind = rng.integers(3)
+    if kind == 0:
+        return K, G
+    if kind == 1:
+        return K, 2.0 * np.outer(K.axis, K.axis) + 10.0 ** rng.uniform(-4.0, -1.0) * G
+    L = np.linalg.cholesky(K.form)  # L^-T W L^T scales z^T V z by at most ||W||^2
+    W = np.linalg.qr(rng.normal(size=(d - 1, d - 1)))[0] * rng.uniform(0.5, 1.1)
+    return K, np.outer(K.axis, K.axis) + K.complement_basis @ np.linalg.solve(L.T, W @ L.T) @ K.complement_basis.T
 
 
 class TestMembership:
@@ -272,8 +327,6 @@ class TestInvariance:
     def test_quadratic_scan_equals_pointwise_scan(self, d, seed, kind):
         # the margin and multiplier are those of lambda_min(sQ - P) evaluated
         # one candidate s at a time, bit for bit
-        from scipy.linalg import eigvals
-
         rng = np.random.default_rng(seed)
         axis = rng.normal(size=d)
         axis /= np.linalg.norm(axis)
@@ -292,7 +345,7 @@ class TestInvariance:
         t_max = -float(K.axis @ P @ K.axis)
         ts = np.array([0.0])
         if t_max > 0:
-            gen = eigvals(P, Q).real
+            gen = np.linalg.eigvals(np.linalg.solve(Q, P)).real
             ts = np.unique(np.concatenate([ts, [t_max], gen[(gen > 0) & (gen < t_max)]]))
             ts = np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])])
         q_norm = float(np.linalg.norm(Q, 2))
@@ -300,6 +353,53 @@ class TestInvariance:
         assert rep.psd_margin == margin
         if rep.invariant:
             assert rep.multiplier == t * scale * scale
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_quadratic_verdict_equals_qz_reference(self, seed):
+        # random cones with cond(V) up to 1e12, Gaussian, near-axis and
+        # nearly invariant axis-sharing members: the verdict is that of the
+        # scan over scipy's QZ candidates, and every YES is a certificate
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            K, A = random_quadratic_case(rng)
+            rep = is_invariant(K, A)
+            assert rep.invariant == qz_reference_verdict(K, A)
+            if rep.invariant:
+                scale = _norm(A)
+                Q = K.ambient_form()
+                P = (A / scale).T @ Q @ (A / scale)
+                P = 0.5 * (P + P.T)
+                t = rep.multiplier / (scale * scale)
+                assert 0.0 <= t <= -(K.axis @ P @ K.axis) * (1.0 + 1e-12)  # t_max, up to rounding
+                lam = float(np.linalg.eigvalsh(t * Q - P)[0])
+                assert lam / (np.linalg.norm(Q, 2) * (1.0 + t)) >= -DEFAULT_TOL.geom_tol
+
+    @pytest.mark.parametrize("angle, invariant", [(15.0, True), (50.0, False)])
+    def test_quadratic_verdict_without_candidates(self, monkeypatch, angle, invariant):
+        # A = R diag(1, 0.5, 0.7), R a rotation by `angle` about e3, on the
+        # 45-degree ice-cream cone.  At 15 degrees the multipliers t with
+        # tQ - A^T Q A >= 0 form about [0.49, 0.749], which holds neither 0,
+        # t_max = 0.866 nor t_max / 2; with no eigenvalue candidates the scan
+        # misses it, and the supergradient bisection finds it.  At 50 degrees
+        # the image of K leaves K, and the NO names a point of K whose image
+        # is outside.
+        def no_eigenvalues(*args, **kwargs):
+            raise np.linalg.LinAlgError("no candidates")
+
+        c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+        A = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.diag([1.0, 0.5, 0.7])
+        K = ice_cream()
+        assert is_invariant(K, A).invariant is invariant
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigenvalues)
+        rep = is_invariant(K, A)
+        assert rep.invariant is invariant
+        if invariant:
+            assert 0.49 <= rep.multiplier <= 0.749
+            Q = K.ambient_form()
+            assert np.linalg.eigvalsh(rep.multiplier * Q - A.T @ Q @ A)[0] >= -1e-12
+        else:
+            p = np.array(rep.worst[2])
+            assert contains(K, p).inside and not contains(K, A @ p).inside
 
     def test_quadratic_rejects_wrong_axis(self):
         rep = is_invariant(ice_cream(), np.diag([1.0, 2.0, 0.5]))

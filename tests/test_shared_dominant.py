@@ -13,6 +13,7 @@ from conelab.errors import (
 from conelab.fixtures import ex7_2, ex7_4
 from conelab.linalg import DEFAULT_TOL, is_vandergraft
 from conelab.shared_dominant import (
+    _series_sum,
     _witness_checks,
     common_dominant_eigenvector,
     common_lyapunov,
@@ -198,6 +199,24 @@ class TestCommonLyapunov:
         cert = common_lyapunov([B1, B2])
         assert cert.method == "reduction"
         assert all(r >= -1e-8 for r in cert.residuals)
+
+
+    @pytest.mark.parametrize("m", [2, 9, 10, 16])
+    def test_series_sum_agrees_with_scipy(self, m):
+        # nested Stein equations X = A* X A + W, last member first; scipy
+        # solves them by its "direct" method below size 10 and "bilinear" above
+        from scipy.linalg import solve_discrete_lyapunov
+
+        rng = np.random.default_rng(m)
+        mats = []
+        for radius in (0.9, 0.6):
+            A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            mats.append(radius * A / np.max(np.abs(np.linalg.eigvals(A))))
+        ref = np.eye(m, dtype=complex)
+        for A in reversed(mats):
+            ref = solve_discrete_lyapunov(A.conj().T, ref)
+        X = _series_sum(mats)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestDecideSharedDominant:
