@@ -246,7 +246,16 @@ def nnls_distance(A: np.ndarray, b: np.ndarray) -> float:
 
 
 def _polyhedral_membership(K: PolyhedralCone, v: np.ndarray, tol: ToleranceConfig,
-                           zero: float = _ZERO_NORM) -> MembershipResult:
+                           zero: float = _ZERO_NORM, coefficients=None) -> MembershipResult:
+    if coefficients is not None:
+        x = np.asarray(coefficients, dtype=float)
+        if x.shape != (K.num_generators,):
+            raise DimensionMismatch(f"{x.size} coefficients vs {K.num_generators} generators")
+        nv = math.hypot(*v.tolist())  # in (1e-150, 1e150): v is not zero, and x G - v is formed safely
+        if 1e-150 < nv < 1e150 and x.min() >= 0.0:
+            resid = math.hypot(*(x @ K.generators - v).tolist())  # inf or NaN fails the test
+            if resid <= tol.geom_tol * nv:  # x / ||v|| bounds the unit vector's NNLS distance
+                return MembershipResult(True, resid)
     nv = _norm(v)
     if nv < zero:
         return MembershipResult(True, 0.0)
@@ -346,17 +355,27 @@ def _quadratic_membership(K: QuadraticCone, v: np.ndarray, tol: ToleranceConfig)
     return MembershipResult(inside, 0.0 if inside else _quad_distance(K, v))
 
 
-def contains(K: ConeRep, v, tol: ToleranceConfig = DEFAULT_TOL) -> MembershipResult:
+def contains(K: ConeRep, v, tol: ToleranceConfig = DEFAULT_TOL, coefficients=None) -> MembershipResult:
     """Membership of one vector and its distance to K.
 
     The flag is decided on the unit vector, so it does not depend on the
     vector's scale; the distance is that of the vector itself.
+    `coefficients`, one weight per generator of a polyhedral K, is a
+    membership certificate: if every weight is nonnegative and
+    ||x G - v|| <= geom_tol ||v||, with ||v|| in (1e-150, 1e150), then v is
+    inside and the distance is that residual, an upper bound on the true
+    one: x / ||v|| is feasible for the unit vector's NNLS problem, so the
+    projection would find it inside too.  Any other certificate falls back
+    to that projection.  A quadratic K has no generators to weight and
+    rejects a certificate.
     """
     w = np.asarray(v, dtype=float).reshape(-1)
     if w.size != K.dim:
         raise DimensionMismatch(f"vector of size {w.size} vs cone dimension {K.dim}")
     if isinstance(K, PolyhedralCone):
-        return _polyhedral_membership(K, w, tol)
+        return _polyhedral_membership(K, w, tol, coefficients=coefficients)
+    if coefficients is not None:
+        raise ValueError("a quadratic cone takes no membership coefficients")
     return _quadratic_membership(K, w, tol)
 
 

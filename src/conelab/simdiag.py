@@ -10,7 +10,8 @@ on the table, with an LP only for the blocks they leave open.
 The constructive direction builds a polyhedral cone from the dominant real
 columns of S and a polyhedral gauge ball on each remaining column.  When
 one dominant block bounds each tail that cone is invariant by construction:
-its generator images are checked once and the closure never runs.  Only
+its extreme rays are known, its generator images are checked once against
+closed-form membership certificates, and the closure never runs.  Only
 otherwise, or when an image falls outside, is it closed under the family up
 to a word-length bound.
 """
@@ -258,9 +259,10 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
     sum t = 0..bound and then lexicographically, form a table that is built
     once per (n, bound) and searched in read-only chunks of whole sums.  One
     pass over a chunk's rows E gives every product's diagonal as
-    `E @ log|L|^T` and `E @ arg L^T` over the eigenvalue table L; a zero
-    eigenvalue makes a block's product zero exactly when its exponent is
-    positive.  A tuple's candidate set holds the blocks whose product is
+    `E @ log|L|^T` and `E @ arg L^T` over the eigenvalue table L, held
+    transposed (blocks x rows) so that each tuple's reductions run over the
+    short block axis; a zero eigenvalue makes a block's product zero exactly
+    when its exponent is positive.  A tuple's candidate set holds the blocks whose product is
     within the clustering tolerance of the top modulus and real nonnegative
     (phase within 1e-8 (1 + t)) or zero.  The elected block is the first
     candidate whose reference eigenvalue b is real, positive and of maximal
@@ -292,28 +294,33 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
     witnesses: dict[int, tuple[int, ...]] = {}
     notes: list[str] = []
     failed = None
+    br, bi, babs = b.real[:, None], np.abs(b.imag)[:, None], np.abs(b)[:, None]
     for E, sums in _exponent_chunks(form.family_size, bound):
-        logs = E @ logmag
+        logs = (E @ logmag).T.copy()  # the matmul's bits, laid out blocks x rows
         if has_zero:
-            logs[(E > 0) @ zero] = -np.inf
-        maxv = logs.max(axis=1, keepdims=True)
+            logs[((E > 0) @ zero).T] = -np.inf
+        maxv = logs.max(axis=0)
         top = logs >= maxv - tol.eig_cluster_tol * (1.0 + np.abs(maxv))  # all blocks when maxv = -inf
-        wrapped = np.abs((E @ phase + np.pi) % (2.0 * np.pi) - np.pi)
-        omega = top & ((wrapped <= 1e-8 * (1.0 + sums[:, None])) | (logs == -np.inf))
-        elected = omega.any(axis=1)
+        # the phase test, on the products that pass the modulus test only
+        wrapped = np.abs(((E @ phase).T[top] + np.pi) % (2.0 * np.pi) - np.pi)
+        omega = np.zeros_like(top)
+        omega[top] = (wrapped <= 1e-8 * (1.0 + np.broadcast_to(sums, top.shape)[top])) | (logs[top] == -np.inf)
+        elected = omega.any(axis=0)
         if not elected.all():  # the search ends with the sum of the first failing tuple
             r = int(np.argmin(elected))
             failed = tuple(E[r].tolist())
             end = int(np.searchsorted(sums, sums[r], side="right"))
-            E, omega, elected = E[:end], omega[:end], elected[:end]
+            E, omega, elected = E[:end], omega[:, :end], elected[:end]
 
-        target = np.where(omega, np.abs(b), -np.inf).max(axis=1, keepdims=True)
+        target = np.where(omega, babs, -np.inf).max(axis=0)
         eps = tol.eig_cluster_tol * target
-        strict = omega & (np.abs(b.imag) <= eps) & (b.real > 0) & (np.abs(b.real - target) <= eps)
-        has_strict = strict.any(axis=1)
-        pick = np.where(has_strict, strict.argmax(axis=1),
-                        np.where(omega, b.real, -np.inf).argmax(axis=1))
-        for r in np.flatnonzero(elected & ~has_strict):
+        strict = omega & (bi <= eps) & (br > 0) & (np.abs(br - target) <= eps)
+        pick = np.zeros(len(E), dtype=np.intp)
+        for k in range(len(strict) - 1, -1, -1):  # the first strict block of each tuple
+            pick[strict[k]] = k
+        loose = np.flatnonzero(elected & ~strict.any(axis=0))
+        pick[loose] = np.where(omega[:, loose], br, -np.inf).argmax(axis=0)
+        for r in loose:
             notes.append(f"tie-break fallback (largest real part) at exponents {tuple(E[r].tolist())}")
         rows = np.flatnonzero(elected)
         _, first = np.unique(pick[rows], return_index=True)
@@ -346,6 +353,42 @@ def dominant_index_set(form: SimDiagForm, bound: int = 8,
     return DominantIndexSet(frozenset(indices), witnesses, bound, exact, tuple(notes))
 
 
+def _gauge_coefficients(Y: np.ndarray, heads, feeds, fed, num_seeds: int) -> np.ndarray:
+    """Nonnegative weights on the gauge seeds of `construct_simdiag_cone`
+    that rebuild the points whose head/tail coordinates are the rows of Y.
+
+    A real tail coordinate t takes max(+-t, 0) on e + Re and e - Re; a
+    complex pair takes its two adjacent N-gon vertices, by the sine rule.
+    Each tail's gauge, the sum of those weights, is taken off the head
+    coordinates of the block e sums.  What is left of a head coordinate goes
+    on its column or, for a dropped one-column head (`fed`: block -> (N, first
+    seed)), on the N seeds whose mean it is.  A point outside the cone shows
+    up as a negative weight, clipped at 0."""
+    X = np.zeros((len(Y), num_seeds))
+    rest = Y[:, :heads[-1]].copy()
+    rows = np.arange(len(Y))
+    for k, n, first, j in feeds:
+        if n == 2:
+            X[:, first], X[:, first + 1] = np.maximum(Y[:, j], 0.0), np.maximum(-Y[:, j], 0.0)
+            gauge = np.abs(Y[:, j])
+        else:
+            step = 2 * math.pi / n
+            phi = np.arctan2(Y[:, j + 1], Y[:, j]) % (2 * math.pi)
+            m = np.floor(phi / step)
+            r = np.hypot(Y[:, j], Y[:, j + 1]) / math.sin(step)
+            lo = np.maximum(r * np.sin(step - (phi - m * step)), 0.0)
+            hi = np.maximum(r * np.sin(phi - m * step), 0.0)
+            m = m.astype(int) % n
+            X[rows, first + m] += lo
+            X[rows, first + (m + 1) % n] += hi
+            gauge = lo + hi
+        rest[:, heads[k]:heads[k + 1]] -= gauge[:, None]
+    X[:, :heads[-1]] = rest
+    for k, (n, first) in fed.items():
+        X[:, first:first + n] += rest[:, heads[k], None] / n
+    return np.maximum(X, 0.0)
+
+
 def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
                            tol: ToleranceConfig = DEFAULT_TOL,
                            dominant: DominantIndexSet | None = None,
@@ -360,9 +403,15 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
     sin(2 pi a/N) Im, N = 2 (+-Re) for a real tail and max(3, ceil(pi /
     arccos r)) for a complex one.  A member maps e_i + v to lambda_ij e_i + A v
     and A v into |lambda_kj| / cos(pi/N) <= lambda_ij times the ball, so the
-    seed cone is invariant when every r <= 1 (r < 1 if complex): the images
-    of its generators, whose largest distance is the defect, are checked
-    once, and the closure is skipped (method "gauge").  Otherwise every tail
+    seed cone is invariant when every r <= 1 (r < 1 if complex).  Its
+    generators are then known without a projection: every seed but a
+    one-column head that feeds a tail, which is the mean of that tail's
+    seeds.  Each generator image goes once through `contains` with its
+    closed-form weights over them (`_gauge_coefficients`), which certify it
+    unless rounding defeats them, as at nearly parallel eigenvectors, where
+    it is projected; the defect is the largest image distance, or for a
+    certified image the certificate's residual, an upper bound on it.  The
+    closure is then skipped (method "gauge").  Otherwise every tail
     rides on the whole head, a complex one with N = 8, and the closure under
     the family, up to `word_len` applications, does the rest (method
     "closure"); it also runs, as a safety net, when a gauge seed's image
@@ -389,35 +438,56 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
     whole = None if bounded[tails].all() else np.hstack(columns).sum(axis=1)
     basis = [c for block in columns for c in block.T]
     seeds = list(basis)
+    heads = np.cumsum([0] + [c.shape[1] for c in columns])  # head block k: seeds heads[k]:heads[k + 1]
+    feeds = []  # per tail column: (head block, sides, first seed, first coordinate)
     for i in tails:
-        e = columns[int(np.argmin(ratios[i]))].sum(axis=1) if whole is None else whole
+        k = int(np.argmin(ratios[i]))
+        e = columns[k].sum(axis=1) if whole is None else whole
         n = 2 if real[i] else (max(3, math.ceil(sides[i])) if bounded[i] else 8)
         for s in form.S[:, offsets[i]:offsets[i + 1]].T:
+            feeds.append((k, n, len(seeds), len(basis)))
             basis += [s.real] if real[i] else [s.real, s.imag]
             seeds += [e + math.cos(2 * math.pi * a / n) * s.real + math.sin(2 * math.pi * a / n) * s.imag
                       for a in range(n)]
+    Finv = np.linalg.inv(np.column_stack(basis))
 
     gens: list[np.ndarray] = []
 
     def absorbed(v):
         return bool(gens) and nnls_distance(np.array(gens).T, v) <= tol.geom_tol
 
-    for v in map(unit, seeds):
-        if not absorbed(v):
-            gens.append(v)
-    num_seeds = len(gens)
+    def check(K, coefficients=None):
+        """The largest distance of a generator image to K, and whether all are inside."""
+        U = np.vstack([K.generators @ A.T for A in form.family])
+        X = [None] * len(U) if coefficients is None else coefficients(U)
+        images = [contains(K, u, tol, coefficients=x) for u, x in zip(U, X)]
+        return max(r.distance for r in images), all(r.inside for r in images)
 
-    def finish():
-        K = prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
-        images = [contains(K, A @ g, tol) for A in form.family for g in K.generators]
-        return K, max(r.distance for r in images), all(r.inside for r in images)
-
-    # Gauge seeds are invariant by construction: their images are checked
-    # once, and the closure runs only when some tail is unbounded or an
-    # image falls outside.
+    # Gauge seeds are invariant by construction: each is an extreme ray but
+    # a one-column head that feeds a tail, the mean of that tail's seeds, and
+    # every image comes with its closed-form coefficients over them.  The
+    # closure runs only when some tail is unbounded or an image falls outside.
     closed = False
     if whole is None:
-        K, defect, closed = finish()
+        gens = [unit(v) for v in seeds]
+        G = PolyhedralCone(form.dim, np.array(gens)).generators
+        fed = {}  # each one-column head that feeds a tail: (N, first seed) of the first such tail
+        for k, n, first, _ in feeds:
+            if heads[k + 1] - heads[k] == 1:
+                fed.setdefault(k, (n, first))
+        order = sorted(set(range(len(G))) - {heads[k] for k in fed}, key=lambda r: tuple(G[r]))
+        norms = np.linalg.norm(np.array(seeds), axis=1)
+
+        def coefficients(U):  # over the unit generators of K, in its order
+            return (_gauge_coefficients(U @ Finv.T, heads, feeds, fed, len(seeds)) * norms)[:, order]
+
+        K = PolyhedralCone(form.dim, G[order])
+        defect, closed = check(K, coefficients)
+    else:
+        for v in map(unit, seeds):
+            if not absorbed(v):
+                gens.append(v)
+    num_seeds = len(gens)
     if not closed:
         frontier = list(range(num_seeds))
         for _ in range(word_len):
@@ -434,14 +504,14 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
             if not fresh:
                 break
             frontier = fresh
-        K, defect, _ = finish()
+        K = prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
+        defect, _ = check(K)
 
     # Every generator's head coordinates are nonnegative with a positive sum,
     # so no nonzero x has both x and -x in K.
-    Finv = np.linalg.inv(np.column_stack(basis))
     slack = tol.geom_tol * (1.0 + float(np.linalg.norm(Finv, 2)))
-    heads = K.generators @ Finv[:sum(c.shape[1] for c in columns)].T
-    if heads.min() < -slack or heads.sum(axis=1).min() <= slack:
+    coords = K.generators @ Finv[:heads[-1]].T
+    if coords.min() < -slack or coords.sum(axis=1).min() <= slack:
         raise PointednessCertificateFailed("a generator's head coordinates are not nonnegative with a positive sum")
     if not is_proper(K, tol):
         raise PointednessCertificateFailed("witness cone failed the properness oracle")

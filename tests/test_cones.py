@@ -11,6 +11,7 @@ from scipy.optimize import nnls
 import conelab.cones
 from _gen import quadratic_boundary_points, quadratic_inside
 from conelab.cones import (
+    MembershipResult,
     PolyhedralCone,
     QuadraticCone,
     _simplex_distance,
@@ -246,6 +247,54 @@ class TestContainsRows:
     def test_rejects_rows_of_another_dimension(self):
         with pytest.raises(DimensionMismatch):
             contains_rows(ice_cream(), np.zeros((2, 4)))
+
+
+class TestMembershipCertificate:
+    """`contains(K, v, coefficients=x)` takes x as proof of membership or falls back to the projection."""
+
+    K = conic_hull([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, -1, 2]])
+
+    @staticmethod
+    def no_projection(monkeypatch):
+        def fail(*args):
+            raise AssertionError("nnls_distance called")
+
+        monkeypatch.setattr(conelab.cones, "nnls_distance", fail)
+
+    def test_valid_certificate_skips_the_projection(self, monkeypatch):
+        x = np.array([0.5, 0.0, 2.0, 1.25, 0.3])
+        v = x @ self.K.generators + 1e-12 * np.array([1.0, -2.0, 0.5])
+        self.no_projection(monkeypatch)
+        res = contains(self.K, v, coefficients=x)
+        assert res.inside
+        assert res.distance == pytest.approx(float(np.linalg.norm(x @ self.K.generators - v)), rel=1e-12)
+        assert 0.0 < res.distance <= DEFAULT_TOL.geom_tol * _norm(v)
+
+    @pytest.mark.parametrize("case", ["negative", "residual", "outside", "huge"])
+    def test_failed_certificate_gives_the_plain_result(self, case):
+        x = np.array([0.5, -1e-17 if case == "negative" else 0.2, 2.0, 1.25, 0.3])
+        v = x @ self.K.generators  # x reproduces v, but for "negative" has an entry below 0
+        if case == "residual":  # 1e-7 relative, above geom_tol
+            x[2] *= 1.0 + 1e-7
+        elif case == "outside":
+            v = np.array([-1.0, 0.5, 0.0])
+        else:
+            v = v * 1e200
+        assert contains(self.K, v, coefficients=x) == contains(self.K, v)
+
+    def test_zero_vector(self):
+        x = np.array([0.5, 0.2, 2.0, 1.25, 0.3])
+        for zero in (np.zeros(3), np.full(3, 1e-320)):
+            assert contains(self.K, zero, coefficients=x) == contains(self.K, zero) == MembershipResult(True, 0.0)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            contains(self.K, [1.0, 1.0, 1.0], coefficients=[1.0, 1.0])
+
+    def test_quadratic_cone_rejects_a_certificate(self):
+        # a quadratic cone has no generators to weight: a certificate is a caller's error
+        with pytest.raises(ValueError):
+            contains(ice_cream(), [1.0, 0.0, 0.0], coefficients=[1.0])
 
 
 class TestProperness:

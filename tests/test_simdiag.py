@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import conelab.cones
 from _gen import _rotation, commuting_diag_2x2, contractive_commuting_blocks
 from conelab import simdiag
-from conelab.cones import contains, is_invariant, is_proper
+from conelab.cones import PolyhedralCone, contains, is_invariant, is_proper, nnls_distance, prune_generators, unit
 from conelab.errors import NonVandergraftProduct, NotCommuting, NotDiagonalizable, PreconditionFailed
-from conelab.fixtures import ex7_5
+from conelab.fixtures import ex7_5, spiral3
 from conelab.linalg import DEFAULT_TOL, unit_members
 from conelab.planar import decide_common_2x2
 from conelab.simdiag import (
@@ -567,3 +570,90 @@ class TestGaugeWitness:
         G, R = d.witness.generators, r.witness.generators
         assert G.shape == R.shape
         assert np.allclose(G, R, atol=1e-9)
+
+
+# The contractive probe seeds below 3000 whose YES rides on the gauge (all
+# but 1441, 1976 and 2764, which take the closure).
+GAUGE_SEEDS = (30, 74, 76, 102, 148, 194, 229, 232, 234, 252, 274, 287, 318, 354, 422, 486, 525, 545, 564, 566,
+               572, 576, 642, 672, 690, 698, 704, 718, 738, 757, 760, 814, 852, 942, 960, 974, 1004, 1012, 1246,
+               1248, 1304, 1322, 1328, 1342, 1408, 1426, 1434, 1476, 1544, 1596, 1600, 1700, 1743, 1816, 1846,
+               1864, 1892, 1996, 1998, 2006, 2031, 2035, 2066, 2072, 2080, 2103, 2169, 2222, 2224, 2286, 2316,
+               2334, 2472, 2509, 2524, 2555, 2584, 2598, 2655, 2721, 2737, 2802, 2890, 2937)
+
+
+def pruned_reference(form, dominant, tol=DEFAULT_TOL):
+    """The gauge witness as projections build it: the seeds of
+    `construct_simdiag_cone`, each kept unless the earlier ones absorb it,
+    then pruned by `prune_generators`."""
+    P = sorted(dominant.indices)
+    offsets = np.cumsum((0,) + form.block_sizes)
+    columns = [np.real(form.S[:, offsets[i]:offsets[i + 1]]) for i in P]
+    seeds = [c for block in columns for c in block.T]
+    for i, partner in enumerate(form.conj_partner):
+        if i in P or (partner is not None and partner < i):
+            continue
+        r = (np.abs(form.lambda_table[i]) / form.lambda_table[P].real).max(axis=1)  # per head block
+        e = columns[int(np.argmin(r))].sum(axis=1)
+        n = 2 if partner is None else max(3, math.ceil(math.pi / math.acos(r.min())))
+        for s in form.S[:, offsets[i]:offsets[i + 1]].T:
+            seeds += [e + math.cos(2 * math.pi * a / n) * s.real + math.sin(2 * math.pi * a / n) * s.imag
+                      for a in range(n)]
+    gens = []
+    for v in map(unit, seeds):
+        if not gens or nnls_distance(np.array(gens).T, v) > tol.geom_tol:
+            gens.append(v)
+    return prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
+
+
+@pytest.fixture
+def nnls_calls(monkeypatch):
+    """One entry per `nnls_distance` call made by the package."""
+    calls, real = [], conelab.cones.nnls_distance
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(conelab.cones, "nnls_distance", counting)
+    monkeypatch.setattr(simdiag, "nnls_distance", counting)
+    return calls
+
+
+class TestGaugeCertificates:
+    """Gauge witnesses are pruned by structure and their images certified by closed-form coefficients."""
+
+    def test_witness_equals_the_pruned_reference_with_one_projection(self, nnls_calls):
+        families = [positive_heads(np.random.default_rng(s), 2 + s % 3) for s in range(12)]
+        families += [contractive(s) for s in GAUGE_SEEDS]
+        families.append(list(spiral3().matrices))
+        for fam in families:
+            nnls_calls.clear()
+            d = decide_simdiag(fam, seed=1729)
+            assert d.answer == "yes" and d.certificate["construction"]["method"] == "gauge"
+            assert len(nnls_calls) <= 1  # `is_proper`'s; every image is certified
+            form = simultaneous_diagonalize(unit_members(fam), seed=1729)
+            ref = pruned_reference(form, dominant_index_set(form))
+            assert d.witness.generators.tobytes() == ref.generators.tobytes()
+
+    def test_ill_conditioned_images_take_the_projection(self, nnls_calls, monkeypatch):
+        # each member is T diag(1, a I + b [[0, 1], [0, eps]]) T^-1: the tail
+        # pair's eigenvectors are eps apart, so the coordinates of an image
+        # carry rounding of order cond(F) eps_mach, above geom_tol
+        T = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+        fam = []
+        for a, b in ((0.5, 0.4), (0.3, 0.9)):
+            D = np.zeros((3, 3))
+            D[0, 0] = 1.0
+            D[1:, 1:] = a * np.eye(2) + b * np.array([[0.0, 1.0], [0.0, 1e-7]])
+            fam.append(T @ D @ np.linalg.inv(T))
+        d = decide_simdiag(fam)
+        assert d.answer == "yes" and len(nnls_calls) > 1
+
+        def uncertified(K, v, tol=DEFAULT_TOL, coefficients=None):
+            return contains(K, v, tol)
+
+        monkeypatch.setattr(simdiag, "contains", uncertified)
+        r = decide_simdiag(fam)
+        assert r.answer == d.answer
+        assert r.certificate["construction"]["method"] == d.certificate["construction"]["method"] == "gauge"
+        assert r.witness.generators.tobytes() == d.witness.generators.tobytes()
