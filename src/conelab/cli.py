@@ -120,12 +120,12 @@ def cmd_classify(args) -> int:
     return EXIT_YES
 
 
-def _route_auto(fd: FamilyData, tol, seed, bound, wordlen) -> Decision:
+def _route_auto(fd: FamilyData, tol, seed, bound) -> Decision:
     mats = list(fd.matrices)
     if fd.dimension == 2:
         return decide_common_2x2(mats, tol)
     try:
-        return decide_simdiag(mats, tol, bound=bound, seed=seed, word_len=wordlen)
+        return decide_simdiag(mats, tol, bound=bound, seed=seed)
     except (NotCommuting, NotDiagonalizable):
         pass  # not simultaneously diagonalizable: try the shared-dominant route
     return decide_shared_dominant(mats, tol, similarity=fd.similarity)
@@ -133,7 +133,6 @@ def _route_auto(fd: FamilyData, tol, seed, bound, wordlen) -> Decision:
 
 def cmd_common(args) -> int:
     _at_least("--bound", args.bound, 0)
-    _at_least("--wordlen", args.wordlen, 1)
     fd = _load_family(args.family)
     tol = _tol_from_args(args)
     seed = _resolve_seed(args.seed)
@@ -141,13 +140,13 @@ def cmd_common(args) -> int:
 
     try:
         if args.method == "auto":
-            decision = _route_auto(fd, tol, seed, args.bound, args.wordlen)
+            decision = _route_auto(fd, tol, seed, args.bound)
         elif args.method == "2x2":
             if fd.dimension != 2:
                 raise HypothesesNotMet("DimensionMismatch", "the 2x2 route needs 2x2 matrices")
             decision = decide_common_2x2(mats, tol)
         elif args.method == "simdiag":
-            decision = decide_simdiag(mats, tol, bound=args.bound, seed=seed, word_len=args.wordlen)
+            decision = decide_simdiag(mats, tol, bound=args.bound, seed=seed)
         else:
             decision = decide_shared_dominant(mats, tol, similarity=fd.similarity)
     except (HypothesesNotMet, NotCommuting, NotDiagonalizable) as exc:
@@ -240,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "2x2", "simdiag", "shared-dominant"], default="auto")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bound", type=int, default=8, help="exponent-sum bound for the dominant-block search")
-    p.add_argument("--wordlen", type=int, default=12,
-                   help="closure word length for the witness, used only when no single dominant block bounds a tail")
     p.add_argument("--out", default=None, help="write the decision file here instead of stdout")
     p.add_argument("--reproducible", action="store_true", help="omit the timestamp field")
     _add_tol_args(p)

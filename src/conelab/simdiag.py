@@ -10,10 +10,9 @@ on the table, with an LP only for the blocks they leave open.
 The constructive direction builds a polyhedral cone from the dominant real
 columns of S and a polyhedral gauge ball on each remaining column.  When
 one dominant block bounds each tail that cone is invariant by construction:
-its extreme rays are known, its generator images are checked once against
-closed-form membership certificates, and the closure never runs.  Only
-otherwise, or when an image falls outside, is it closed under the family up
-to a word-length bound.
+its extreme rays are known and its generator images are checked once
+against closed-form membership certificates.  Otherwise no witness is
+built, and the decision is UNDECIDED.
 """
 
 from __future__ import annotations
@@ -25,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decision as dd
-from .cones import _ZERO_NORM, PolyhedralCone, _norm, contains, is_proper, nnls_distance, prune_generators, unit
+from .cones import PolyhedralCone, _norm, contains, is_proper, unit
 from .decision import Decision
 from .errors import (
+    HypothesesNotMet,
     InternalInconsistency,
     NonVandergraftProduct,
     NotDiagonalizable,
@@ -389,8 +389,7 @@ def _gauge_coefficients(Y: np.ndarray, heads, feeds, fed, num_seeds: int) -> np.
     return np.maximum(X, 0.0)
 
 
-def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
-                           tol: ToleranceConfig = DEFAULT_TOL,
+def construct_simdiag_cone(form: SimDiagForm, tol: ToleranceConfig = DEFAULT_TOL,
                            dominant: DominantIndexSet | None = None,
                            bound: int = 8):
     """Polyhedral witness cone from head/tail gauge seeds, plus its certificates.
@@ -410,14 +409,12 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
     closed-form weights over them (`_gauge_coefficients`), which certify it
     unless rounding defeats them, as at nearly parallel eigenvectors, where
     it is projected; the defect is the largest image distance, or for a
-    certified image the certificate's residual, an upper bound on it.  The
-    closure is then skipped (method "gauge").  Otherwise every tail
-    rides on the whole head, a complex one with N = 8, and the closure under
-    the family, up to `word_len` applications, does the rest (method
-    "closure"); it also runs, as a safety net, when a gauge seed's image
-    falls outside the seed cone, and the method stays "gauge" if it adds
-    nothing.  Returns (cone, report) with the pointedness certificate and
-    the defect.
+    certified image the certificate's residual, an upper bound on it.
+
+    Raises `HypothesesNotMet("NoGaugeWitness")` when some tail has no single
+    bounding head (real r > 1, complex r >= 1, or more than _MAX_SIDES
+    sides) or an image still falls outside.  Returns (cone, report) with
+    the pointedness certificate and the defect.
     """
     if dominant is None:
         dominant = dominant_index_set(form, bound, tol)
@@ -433,17 +430,19 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
         sides = np.pi / np.arccos(np.minimum(ratios.min(axis=1), 1.0))  # inf when r >= 1
     bounded = np.where(real, ratios.min(axis=1) <= 1.0, sides <= _MAX_SIDES)
     tails = [i for i, p in enumerate(form.conj_partner) if i not in P and (p is None or p > i)]
-    # On one head, the closure's long words would amplify rounding in the
-    # other heads' zero coordinates and break the pointedness certificate.
-    whole = None if bounded[tails].all() else np.hstack(columns).sum(axis=1)
+    for i in tails:
+        if not bounded[i]:
+            sized = "" if real[i] else f", {sides[i]:.6g} polygon sides"
+            raise HypothesesNotMet("NoGaugeWitness", f"no single dominant block bounds tail block {i} "
+                                                     f"(least ratio {ratios[i].min():.9g}{sized})")
     basis = [c for block in columns for c in block.T]
     seeds = list(basis)
     heads = np.cumsum([0] + [c.shape[1] for c in columns])  # head block k: seeds heads[k]:heads[k + 1]
     feeds = []  # per tail column: (head block, sides, first seed, first coordinate)
     for i in tails:
         k = int(np.argmin(ratios[i]))
-        e = columns[k].sum(axis=1) if whole is None else whole
-        n = 2 if real[i] else (max(3, math.ceil(sides[i])) if bounded[i] else 8)
+        e = columns[k].sum(axis=1)
+        n = 2 if real[i] else max(3, math.ceil(sides[i]))
         for s in form.S[:, offsets[i]:offsets[i + 1]].T:
             feeds.append((k, n, len(seeds), len(basis)))
             basis += [s.real] if real[i] else [s.real, s.imag]
@@ -451,61 +450,23 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
                       for a in range(n)]
     Finv = np.linalg.inv(np.column_stack(basis))
 
-    gens: list[np.ndarray] = []
-
-    def absorbed(v):
-        return bool(gens) and nnls_distance(np.array(gens).T, v) <= tol.geom_tol
-
-    def check(K, coefficients=None):
-        """The largest distance of a generator image to K, and whether all are inside."""
-        U = np.vstack([K.generators @ A.T for A in form.family])
-        X = [None] * len(U) if coefficients is None else coefficients(U)
-        images = [contains(K, u, tol, coefficients=x) for u, x in zip(U, X)]
-        return max(r.distance for r in images), all(r.inside for r in images)
-
     # Gauge seeds are invariant by construction: each is an extreme ray but
     # a one-column head that feeds a tail, the mean of that tail's seeds, and
-    # every image comes with its closed-form coefficients over them.  The
-    # closure runs only when some tail is unbounded or an image falls outside.
-    closed = False
-    if whole is None:
-        gens = [unit(v) for v in seeds]
-        G = PolyhedralCone(form.dim, np.array(gens)).generators
-        fed = {}  # each one-column head that feeds a tail: (N, first seed) of the first such tail
-        for k, n, first, _ in feeds:
-            if heads[k + 1] - heads[k] == 1:
-                fed.setdefault(k, (n, first))
-        order = sorted(set(range(len(G))) - {heads[k] for k in fed}, key=lambda r: tuple(G[r]))
-        norms = np.linalg.norm(np.array(seeds), axis=1)
-
-        def coefficients(U):  # over the unit generators of K, in its order
-            return (_gauge_coefficients(U @ Finv.T, heads, feeds, fed, len(seeds)) * norms)[:, order]
-
-        K = PolyhedralCone(form.dim, G[order])
-        defect, closed = check(K, coefficients)
-    else:
-        for v in map(unit, seeds):
-            if not absorbed(v):
-                gens.append(v)
-    num_seeds = len(gens)
-    if not closed:
-        frontier = list(range(num_seeds))
-        for _ in range(word_len):
-            fresh = []
-            for A in form.family:
-                for idx in frontier:
-                    w = A @ gens[idx]
-                    if _norm(w) < _ZERO_NORM:
-                        continue
-                    w = unit(w)
-                    if not absorbed(w):
-                        gens.append(w)
-                        fresh.append(len(gens) - 1)
-            if not fresh:
-                break
-            frontier = fresh
-        K = prune_generators(PolyhedralCone(form.dim, np.array(gens)), tol)
-        defect, _ = check(K)
+    # every image comes with its closed-form coefficients over them.
+    G = PolyhedralCone(form.dim, np.array([unit(v) for v in seeds])).generators
+    fed = {}  # each one-column head that feeds a tail: (N, first seed) of the first such tail
+    for k, n, first, _ in feeds:
+        if heads[k + 1] - heads[k] == 1:
+            fed.setdefault(k, (n, first))
+    order = sorted(set(range(len(G))) - {heads[k] for k in fed}, key=lambda r: tuple(G[r]))
+    norms = np.linalg.norm(np.array(seeds), axis=1)
+    K = PolyhedralCone(form.dim, G[order])
+    U = np.vstack([K.generators @ A.T for A in form.family])
+    X = (_gauge_coefficients(U @ Finv.T, heads, feeds, fed, len(seeds)) * norms)[:, order]
+    images = [contains(K, u, tol, coefficients=x) for u, x in zip(U, X)]
+    defect = max(r.distance for r in images)
+    if not all(r.inside for r in images):
+        raise HypothesesNotMet("NoGaugeWitness", f"a generator image lies {defect:.3e} outside the gauge cone")
 
     # Every generator's head coordinates are nonnegative with a positive sum,
     # so no nonzero x has both x and -x in K.
@@ -515,8 +476,7 @@ def construct_simdiag_cone(form: SimDiagForm, word_len: int = 12,
         raise PointednessCertificateFailed("a generator's head coordinates are not nonnegative with a positive sum")
     if not is_proper(K, tol):
         raise PointednessCertificateFailed("witness cone failed the properness oracle")
-    report = {"defect": defect, "word_len": word_len, "num_generators": K.num_generators,
-              "pointedness": "verified", "method": "gauge" if len(gens) == num_seeds else "closure"}
+    report = {"defect": defect, "num_generators": K.num_generators, "pointedness": "verified", "method": "gauge"}
     return K, report
 
 
@@ -539,11 +499,13 @@ def _nonnegativity_violation(form: SimDiagForm, dominant: DominantIndexSet,
 
 
 def decide_simdiag(family, tol: ToleranceConfig = DEFAULT_TOL, bound: int = 8,
-                   seed: int = 0, word_len: int = 12) -> Decision:
+                   seed: int = 0) -> Decision:
     """Exact decision for commuting diagonalizable families of any size.
 
     Members are scaled to unit norm first, so the answer does not depend on
     their scale; eigenvalues in the evidence belong to the scaled members.
+    Where the criterion holds but `construct_simdiag_cone` builds no gauge
+    witness, the answer is UNDECIDED (`HypothesesNotMet`, `NoGaugeWitness`).
     """
     form = simultaneous_diagonalize(unit_members(family), tol, seed)
     try:
@@ -571,7 +533,14 @@ def decide_simdiag(family, tol: ToleranceConfig = DEFAULT_TOL, bound: int = 8,
             "evidence": violation,
         }, route="simdiag")
 
-    K, report = construct_simdiag_cone(form, word_len, tol, dominant)
+    try:
+        K, report = construct_simdiag_cone(form, tol, dominant)
+    except HypothesesNotMet as exc:
+        return Decision(dd.UNDECIDED, None, {
+            "failed_condition": dd.HYPOTHESES_NOT_MET,
+            "evidence": {"hypothesis": exc.hypothesis, "detail": str(exc),
+                         "dominant_blocks": sorted(dominant.indices)},
+        }, route="simdiag")
     cert = {
         "dominant_blocks": sorted(dominant.indices),
         "search_bound": dominant.search_bound,

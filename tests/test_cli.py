@@ -12,7 +12,7 @@ import conelab
 import conelab.linalg
 from conelab.cli import main
 from conelab.cones import contains, is_invariant, sample_points
-from conelab.fixtures import ex7_2
+from conelab.fixtures import ex7_2, fixture_names
 from conelab.schemas import cone_from_json, dumps, family_to_json
 from conelab.planar import classify2
 
@@ -70,6 +70,13 @@ class TestExitCodes:
 
     def test_unknown_fixture(self, tmp_path):
         assert main(["fixtures", "emit", "nope", "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_dimension_above_the_cap(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 33, "matrices": [np.diag(np.arange(33.0, 0.0, -1.0)).tolist()]}))
+        assert main(["common", str(fam), "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap 32" in err
 
 
 class TestClassify:
@@ -303,11 +310,57 @@ class TestOptionRanges:
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_common_wordlen_below_one(self, diag3, tmp_path, capsys, value):
-        assert main(["common", diag3, f"--wordlen={value}", "--out", str(tmp_path / "d.json")]) == 2
+        # common takes no --wordlen at all, so a below-one value is still malformed input
+        with pytest.raises(SystemExit) as exc:
+            main(["common", diag3, f"--wordlen={value}", "--out", str(tmp_path / "d.json")])
+        assert exc.value.code == 2
         assert "--wordlen" in capsys.readouterr().err
+
+    def test_common_has_no_wordlen(self, diag3, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["common", diag3, "--wordlen", "12", "--out", str(tmp_path / "d.json")])
+        assert exc.value.code == 2
+        assert "--wordlen" in capsys.readouterr().err
+
+    def test_seed_env_not_an_integer(self, diag3, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONELAB_SEED", "abc")
+        assert main(["common", diag3, "--out", str(tmp_path / "d.json")]) == 2
+        assert "CONELAB_SEED must be an integer" in capsys.readouterr().err
 
 
 class TestRouting:
+    def test_simdiag_family_without_gauge_witness_is_undecided(self, tmp_path):
+        # a complex tail of ratio 0.999999 to the head: its gauge would need a 2222-gon
+        M = np.zeros((3, 3))
+        M[0, 0] = 1.0
+        M[1:, 1:] = 0.999999 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+        fam, dec = tmp_path / "fam.json", tmp_path / "d.json"
+        fam.write_text(json.dumps({"dimension": 3, "matrices": [M.tolist()]}))
+        assert main(["common", str(fam), "--reproducible", "--out", str(dec)]) == 3
+        payload = json.loads(dec.read_text())
+        assert payload["route"] == "simdiag"
+        assert payload["certificate"]["evidence"]["hypothesis"] == "NoGaugeWitness"
+
+    def test_decision_goes_to_stdout_without_out(self, emit, tmp_path, capsys):
+        fam = emit("diag_pair")
+        assert main(["common", fam, "--reproducible", "--out", str(tmp_path / "d.json")]) == 0
+        capsys.readouterr()
+        assert main(["common", fam, "--reproducible"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "d.json").read_text()
+
+    @pytest.mark.parametrize("name, code", [("ex7_6_prefix(3)", 0), ("ex7_1", 1)])
+    def test_2x2_method_matches_auto(self, emit, tmp_path, name, code):
+        fam = emit(name)
+        for method in ("auto", "2x2"):
+            assert main(["common", fam, "--method", method, "--reproducible",
+                         "--out", str(tmp_path / f"{method}.json")]) == code
+        assert (tmp_path / "auto.json").read_bytes() == (tmp_path / "2x2.json").read_bytes()
+
+    def test_2x2_method_on_a_3x3_family_is_undecided(self, emit, tmp_path):
+        dec = tmp_path / "d.json"
+        assert main(["common", emit("spiral3"), "--method", "2x2", "--out", str(dec)]) == 3
+        assert json.loads(dec.read_text())["certificate"]["evidence"]["hypothesis"] == "DimensionMismatch"
+
     def _rotation_family(self):
         out = []
         for th in (0.3, 1.1):
@@ -466,6 +519,16 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "ex7_1" in proc.stdout
+
+
+def test_fixtures_list(capsys):
+    assert main(["fixtures", "list"]) == 0
+    assert capsys.readouterr().out.split() == list(fixture_names())
+
+
+def test_fixtures_emit_needs_a_name(capsys):
+    assert main(["fixtures", "emit"]) == 2
+    assert "requires a name" in capsys.readouterr().err
 
 
 def test_fixture_matrices_match_classify_kinds(emit):

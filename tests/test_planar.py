@@ -383,6 +383,18 @@ class TestSharedDominant2x2:
         d = decide_shared_dominant_2x2([A, 2.0 * A, np.diag([3.0, 1.0])])
         assert d.answer == "yes"
 
+    def test_narrowing_below_the_first_step(self):
+        # a non-dominant line at angle 0.05 lies inside the first sector
+        # (delta = 0.1) on its side, so the cone must narrow to clear it
+        u = [1.0, 0.0]
+        fam = [from_eigs(u, [np.cos(0.05), np.sin(0.05)], 1.0, 0.5),
+               from_eigs(u, [np.cos(2.0), np.sin(2.0)], 1.0, -0.3)]
+        d = decide_common_2x2(fam)
+        assert d.answer == "yes"
+        assert d.certificate["delta"] < 0.1
+        for M in fam:
+            assert is_invariant(d.witness, M).invariant
+
     def test_no_common_line_precondition(self):
         with pytest.raises(PreconditionFailed):
             decide_shared_dominant_2x2([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
