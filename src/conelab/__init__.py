@@ -36,7 +36,6 @@ from .planar import (
     associated_sign,
     classify2,
     decide_common_2x2,
-    decide_shared_dominant_2x2,
     extended_family,
     is_invariant_cone_2x2,
     make_invariant_cone,
@@ -71,9 +70,8 @@ __all__ = [
     "DEFAULT_TOL", "Spectrum", "ToleranceConfig", "VandergraftReport",
     "eigen_decompose", "enumerate_words", "is_vandergraft",
     "EigenFrame2", "associated_sign", "classify2", "decide_common_2x2",
-    "decide_shared_dominant_2x2", "extended_family", "is_invariant_cone_2x2",
-    "make_invariant_cone", "minimal_bad_subfamily", "necessary_conditions",
-    "search_common_cone",
+    "extended_family", "is_invariant_cone_2x2", "make_invariant_cone",
+    "minimal_bad_subfamily", "necessary_conditions", "search_common_cone",
     "DeflatedFamily", "LyapunovCertificate", "common_dominant_eigenvector",
     "common_lyapunov", "decide_shared_dominant", "deflate", "ice_cream_cone",
     "DominantIndexSet", "SimDiagForm", "construct_simdiag_cone",

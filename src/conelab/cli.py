@@ -25,6 +25,7 @@ from .planar import decide_common_2x2
 from .plotting import render_family_svg
 from .schemas import (
     SchemaError,
+    decision_from_json,
     decision_to_json,
     dumps,
     family_from_json,
@@ -213,7 +214,7 @@ def cmd_plot(args) -> int:
     fd = _load_family(args.family)
     if fd.dimension != 2:
         raise SchemaError("plotting needs a 2-dimensional family")
-    decision = _load_json(args.decision) if args.decision else None
+    decision = decision_from_json(_load_json(args.decision)) if args.decision else None
     svg = render_family_svg(fd, decision)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

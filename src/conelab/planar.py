@@ -11,9 +11,10 @@ whose properness and avoidance conditions settle the general case.
 
 A decision classifies each matrix of the extended family once, in
 `necessary_conditions`, and its later steps read those frames from the
-report; only the single-matrix helpers they call (`associated_sign`,
-`is_invariant_cone_2x2`) classify their argument again.  The two-line
-candidate is decided by that single-matrix catalog.  Every YES witness is
+report; only `associated_sign` classifies its argument again.  Each
+candidate cone is built, pruned to its two edges and checked for properness
+once, by `_candidate`.  The two-line candidate is decided by the
+single-matrix catalog on the report's frames.  Every YES witness is
 re-checked member by member with `cones.is_invariant`, which counts a
 generator image within rounding of zero (||A g|| < 8 d eps ||A||) as the
 zero vector, so a singular member whose kernel holds an edge passes.
@@ -183,15 +184,16 @@ def associated_sign(A, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return 1 if x > 0 else -1
 
 
-def _sector(K: PolyhedralCone, tol: ToleranceConfig):
-    """Extreme generator pair (g1, g2) of a proper 2D cone, ccw-ordered."""
-    P = prune_generators(K, tol)
-    if P.num_generators != 2:
-        raise ImproperCone(f"expected a proper 2D sector, got {P.num_generators} extreme rays")
-    g1, g2 = P.generators
-    if _cross(g1, g2) < 0:
-        g1, g2 = g2, g1
-    return g1, g2
+def _candidate(vectors, tol: ToleranceConfig):
+    """Candidate cone over `vectors`, pruned to its extreme rays, and whether it is proper."""
+    K = prune_generators(conic_hull(vectors, dim=2, tol=tol), tol)
+    return K, is_proper(K, tol)
+
+
+def _sector(K: PolyhedralCone):
+    """Edge pair (g1, g2) of a pruned proper 2D cone, ccw-ordered."""
+    g1, g2 = K.generators
+    return (g2, g1) if _cross(g1, g2) < 0 else (g1, g2)
 
 
 def _in_sector(g1, g2, w, slack: float) -> bool:
@@ -216,13 +218,22 @@ def is_invariant_cone_2x2(A, K: PolyhedralCone, tol: ToleranceConfig = DEFAULT_T
     """Single-matrix invariance via the 2x2 catalog (closed form, no oracle)."""
     M = as_square_matrix(A)
     frame = classify2(M, tol)
+    edges = None
+    if frame.kind != KIND_NOT and not frame.is_scalar:
+        if not is_proper(K, tol):
+            raise ImproperCone("is_invariant_cone_2x2 expects a proper cone")
+        edges = _sector(prune_generators(K, tol))
+    return _catalog_invariant(M, frame, edges, tol)
+
+
+def _catalog_invariant(M: np.ndarray, frame: EigenFrame2, edges, tol: ToleranceConfig) -> bool:
+    """The catalog test of M, classified as `frame`, on the cone with ccw edge
+    pair `edges`; the edges are read only for a non-scalar Vandergraft frame."""
     if frame.kind == KIND_NOT:
         return False
     if frame.is_scalar:
         return frame.lam1 >= 0
-    if not is_proper(K, tol):
-        raise ImproperCone("is_invariant_cone_2x2 expects a proper cone")
-    g1, g2 = _sector(K, tol)
+    g1, g2 = edges
     slack = tol.geom_tol
 
     if frame.kind == KIND_DIAG:
@@ -465,7 +476,8 @@ def _canonical_flip(K: PolyhedralCone) -> PolyhedralCone:
 
 
 def _yes(family, K, tol, route_detail, extra=None) -> Decision:
-    K = _canonical_flip(prune_generators(K, tol))
+    """YES with the pruned candidate K, re-checked member by member."""
+    K = _canonical_flip(K)
     cert = {"construction": route_detail, "checks": _verify_witness(family, K, tol)}
     if extra:
         cert.update(extra)
@@ -483,13 +495,10 @@ def _shrink_cone(family, base_u, side_vec, extra_gens_of, avoid_angles, tol):
         delta = 0.1 * 0.5 ** t
         v = unit(math.cos(delta) * base_u + math.sin(delta) * side_vec)
         gens = [base_u, v] + [g for g in extra_gens_of(v)]
-        K = prune_generators(conic_hull(gens, dim=2, tol=tol), tol)
-        if not is_proper(K, tol):
+        K, proper = _candidate(gens, tol)
+        if not proper:
             continue
-        try:
-            g1, g2 = _sector(K, tol)
-        except ImproperCone:
-            continue
+        g1, g2 = _sector(K)
         if any(_line_hits_interior(g1, g2, _dir(a), tol.geom_tol) for a in avoid_angles):
             continue
         if all(is_invariant(K, M, tol).invariant for M in family):
@@ -500,20 +509,6 @@ def _shrink_cone(family, base_u, side_vec, extra_gens_of, avoid_angles, tol):
 def _shares_dominant_line(frames, tol: ToleranceConfig) -> bool:
     angles = [line_angle(fr.u1) for fr in frames if not fr.is_scalar]
     return all(_angles_equal(angles[0], a, tol.geom_tol) for a in angles)
-
-
-def decide_shared_dominant_2x2(family, tol: ToleranceConfig = DEFAULT_TOL) -> Decision:
-    """Exact decision for 2x2 Vandergraft families sharing a dominant eigenline."""
-    mats = unit_members(family)
-    report = necessary_conditions(mats, tol)
-    frames = report.frames[:len(mats)]
-    if any(fr.kind == KIND_NOT for fr in frames):
-        raise PreconditionFailed("family members must all be Vandergraft matrices")
-    if all(fr.is_scalar for fr in frames):
-        return _yes(mats, conic_hull([[1, 0], [0, 1]], tol=tol), tol, "scalar family; any proper cone works")
-    if not _shares_dominant_line(frames, tol):
-        raise PreconditionFailed("no common dominant eigenvector")
-    return _decide_shared_line(mats, report, tol)
 
 
 def _decide_shared_line(mats, report: NecessaryReport, tol: ToleranceConfig) -> Decision:
@@ -597,8 +592,12 @@ def _decide_two_lines(mats, report, tol) -> Decision:
         return _no(dd.ORIENTATION_CONFLICT,
                    {"members": [tm1.label, tm2.label],
                     "reason": "the two non-diagonalizable dominant directions are not mutually positively associated"})
-    K = conic_hull([u1, d2], dim=2, tol=tol)
-    bad = next((i for i, M in enumerate(mats) if not is_invariant_cone_2x2(M, K, tol)), None)
+    K, proper = _candidate([u1, d2], tol)
+    if not proper:
+        raise ImproperCone("the two-line candidate is not a proper cone")
+    edges = _sector(K)
+    bad = next((i for i, M in enumerate(mats)
+                if not _catalog_invariant(M, report.frames[i], edges, tol)), None)
     if bad is not None:
         return _no(dd.TWO_LINE_CONDITION_FAILS, {"member": f"A{bad}", "kind": report.frames[bad].kind})
     extra = {"close_calls": list(report.close_calls)} if report.close_calls else None
@@ -614,12 +613,10 @@ def _decide_big_cone(mats, report: NecessaryReport, arc, close, tol: ToleranceCo
     dirs = _choose_directions(report, arc, tol)
     neg = [i for i, fr in enumerate(frames) if fr.kind == KIND_NEGDET]
     gens = list(dirs) + [mats[i] @ u for i in neg for u in dirs]
-    K = prune_generators(conic_hull(gens, dim=2, tol=tol), tol)
-
-    prop = is_proper(K, tol)
+    K, prop = _candidate(gens, tol)
     if not prop:
         return _no(dd.BIG_CONE_IMPROPER, {"diagnosis": prop.diagnosis})
-    g1, g2 = _sector(K, tol)
+    g1, g2 = _sector(K)
     for p in report.points:
         if p.nondominant_for and _line_hits_interior(g1, g2, _dir(p.angle), tol.geom_tol):
             return _no(dd.BIG_CONE_HITS_NON_DOMINANT,

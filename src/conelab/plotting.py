@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import PolyhedralCone
+from .cones import PolyhedralCone, prune_generators
 from .errors import DimensionMismatch
 from .fixtures import FamilyData
 from .linalg import DEFAULT_TOL
-from .planar import KIND_NOT, classify2
+from .planar import KIND_NOT, _sector, classify2
 
 _SIZE = 420.0
 _CENTER = _SIZE / 2.0
@@ -38,7 +38,7 @@ def _line_through(v, style: str, label: str | None) -> list[str]:
     return out
 
 
-def _sector(g1, g2) -> str:
+def _sector_path(g1, g2) -> str:
     a1 = np.arctan2(g1[1], g1[0])
     a2 = np.arctan2(g2[1], g2[0])
     sweep = (a2 - a1) % (2.0 * np.pi)
@@ -51,7 +51,11 @@ def _sector(g1, g2) -> str:
 
 
 def render_family_svg(family: FamilyData, decision: dict | None = None) -> str:
-    """Eigenline figure (dominant solid, non-dominant dashed) plus the witness sector."""
+    """Eigenline figure (dominant solid, non-dominant dashed) plus the witness sector.
+
+    `decision` is a decision file as `schemas.decision_from_json` parses it;
+    a polyhedral witness is drawn as the sector between its two edges.
+    """
     if family.dimension != 2:
         raise DimensionMismatch("plots are available for dimension 2 only")
     parts = [
@@ -62,15 +66,13 @@ def render_family_svg(family: FamilyData, decision: dict | None = None) -> str:
         'fill="none" stroke="#dddddd"/>',
     ]
 
-    witness = (decision or {}).get("witness")
-    if witness and witness.get("type") == "polyhedral":
-        G = np.array(witness["generators"], dtype=float)
-        K = PolyhedralCone(2, G)
-        if K.num_generators >= 2:
-            g1, g2 = K.generators[0], K.generators[-1]
-            if g1[0] * g2[1] - g1[1] * g2[0] < 0:
-                g1, g2 = g2, g1
-            parts.append(_sector(g1, g2))
+    K = (decision or {}).get("witness_cone")
+    if K is not None and K.dim != 2:
+        raise DimensionMismatch("the decision's witness is not a 2-dimensional cone")
+    if isinstance(K, PolyhedralCone):
+        K = prune_generators(K)
+        if K.num_generators == 2:
+            parts.append(_sector_path(*_sector(K)))
 
     labels = family.labels or tuple(f"A{i}" for i in range(len(family.matrices)))
     for M, name in zip(family.matrices, labels):

@@ -17,7 +17,7 @@ from . import __version__
 from .cones import PolyhedralCone, QuadraticCone
 from .decision import Decision
 from .fixtures import FamilyData
-from .linalg import ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, matrix_rank
 
 FAMILY_SCHEMA = "conelab/family-v1"
 CONE_SCHEMA = "conelab/cone-v1"
@@ -99,7 +99,7 @@ def family_from_json(obj) -> FamilyData:
     sim = obj.get("similarity")
     if sim is not None:
         sim = _matrix(sim, n, "similarity")
-        if abs(np.linalg.det(sim)) < 1e-12:
+        if matrix_rank(sim, DEFAULT_TOL.rank_tol) < n:
             raise SchemaError("similarity must be invertible")
     return FamilyData(n, mats, labels, sim)
 

@@ -219,6 +219,10 @@ class TestVerifyProbes:
         assert "membership probes: 0 points x 2 matrices, 0 violations" in capsys.readouterr().out
 
 
+def _yes_decision(witness) -> dict:
+    return {"schema": "conelab/decision-v1", "answer": "yes", "witness": witness}
+
+
 class TestDeterminism:
     def test_byte_identical_decisions(self, emit, tmp_path):
         fam = emit("ex7_2")
@@ -263,6 +267,30 @@ class TestDeterminism:
         out = tmp_path / "p.svg"
         assert main(["plot", fam, "--decision", str(dec), "--out", str(out)]) == 0
         assert "decision: yes" in out.read_text()
+
+    @pytest.mark.parametrize("decision", [
+        _yes_decision({"type": "polyhedral", "dim": 2, "generators": [[1, "a"], [0, 1]]}),
+        _yes_decision({"type": "polyhedral", "dim": 2, "generators": [[1e400, 0], [0, 1]]}),
+        _yes_decision({"type": "polyhedral", "dim": 2}),
+        _yes_decision({"type": "polyhedral", "dim": 3, "generators": [[1, 0, 0], [0, 1, 0]]}),
+        _yes_decision([[1, 0], [0, 1]]),
+        [],
+    ])
+    def test_plot_rejects_a_malformed_decision(self, emit, tmp_path, decision):
+        dec = tmp_path / "d.json"
+        dec.write_text(json.dumps(decision))
+        assert main(["plot", emit("diag_pair"), "--decision", str(dec), "--out", str(tmp_path / "p.svg")]) == 2
+
+    def test_plot_draws_the_sector_between_the_extreme_rays(self, emit, tmp_path):
+        dec = tmp_path / "d.json"
+        dec.write_text(json.dumps(_yes_decision(
+            {"type": "polyhedral", "dim": 2, "generators": [[1, 0.1], [1, -0.1], [1, 0]]})))
+        out = tmp_path / "p.svg"
+        assert main(["plot", emit("diag_pair"), "--decision", str(dec), "--out", str(out)]) == 0
+        c, s = 1 / np.hypot(1, 0.1), 0.1 / np.hypot(1, 0.1)
+        lo = f"{210 + 180 * c:.4f} {210 + 180 * s:.4f}"  # the -5.7 degree ray (svg y points down)
+        hi = f"{210 + 180 * c:.4f} {210 - 180 * s:.4f}"
+        assert f"L {lo} A 180.0000 180.0000 0 0 0 {hi} Z" in out.read_text()
 
 
 class TestOptionRanges:
@@ -390,6 +418,26 @@ class TestRouting:
         fam.write_text(json.dumps({"dimension": 3, "matrices": mats, "similarity": T.tolist()}))
         assert main(["common", str(fam), "--method", "shared-dominant",
                      "--reproducible", "--out", str(tmp_path / "d.json")]) == 0
+
+    def test_similarity_scale_does_not_matter(self, tmp_path):
+        mats = self._rotation_family()
+        payloads = []
+        for c in (1e-5, 1.0, 1e5):
+            fam, dec = tmp_path / "fam.json", tmp_path / "d.json"
+            fam.write_text(json.dumps({"dimension": 3, "matrices": mats, "similarity": (c * np.eye(3)).tolist()}))
+            assert main(["common", str(fam), "--method", "shared-dominant",
+                         "--reproducible", "--out", str(dec)]) == 0
+            payload = json.loads(dec.read_text())
+            K = cone_from_json(payload["witness"])
+            assert all(is_invariant(K, np.array(M)).invariant for M in mats)
+            payloads.append((payload["answer"], payload["route"]))
+        assert payloads == [("yes", "shared-dominant")] * 3
+
+    @pytest.mark.parametrize("T", [[[1, 0, 0], [0, 1, 0], [1, 1, 0]], np.diag([1e6, 1e6, 1e-12]).tolist()])
+    def test_singular_similarity_is_malformed(self, tmp_path, T):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"dimension": 3, "matrices": self._rotation_family(), "similarity": T}))
+        assert main(["common", str(fam), "--method", "shared-dominant", "--reproducible"]) == 2
 
     def test_no_applicable_procedure(self, tmp_path):
         # non-commuting, non-normal 3x3 members without a shared dominant vector

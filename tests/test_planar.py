@@ -13,7 +13,6 @@ from conelab.planar import (
     associated_sign,
     classify2,
     decide_common_2x2,
-    decide_shared_dominant_2x2,
     extended_family,
     is_invariant_cone_2x2,
     make_invariant_cone,
@@ -295,8 +294,7 @@ class TestExtendedFamily:
         ext = extended_family([np.diag([2.0, 1.0]), np.diag([3.0, 1.0])])
         assert len(ext) == 2
 
-    @pytest.mark.parametrize("decide", [extended_family, necessary_conditions,
-                                        decide_shared_dominant_2x2, decide_common_2x2])
+    @pytest.mark.parametrize("decide", [extended_family, necessary_conditions, decide_common_2x2])
     def test_needs_2x2_members(self, decide):
         # the 3x3 member has a negative determinant, so its square is formed
         with pytest.raises(PreconditionFailed):
@@ -354,19 +352,21 @@ class TestNecessaryConditions:
 
 
 class TestSharedDominant2x2:
+    """Families sharing one dominant line, decided by `decide_common_2x2`."""
+
     def test_example_7_1(self):
-        d = decide_shared_dominant_2x2(list(ex7_1().matrices))
+        d = decide_common_2x2(list(ex7_1().matrices))
         assert d.answer == "no"
         assert d.certificate["failed_condition"] == "NegDetTraceZeroConflict"
 
     def test_example_7_4(self):
-        d = decide_shared_dominant_2x2(list(ex7_4().matrices))
+        d = decide_common_2x2(list(ex7_4().matrices))
         assert d.answer == "no"
         assert d.certificate["failed_condition"] == "OrientationConflict"
 
     def test_orientation_positive_pair(self):
         fam = [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 3.0], [0.0, 1.0]])]
-        d = decide_shared_dominant_2x2(fam)
+        d = decide_common_2x2(fam)
         assert d.answer == "yes"
         assert any(np.allclose(g, [1, 0]) for g in d.witness.generators)
         for M in fam:
@@ -374,13 +374,13 @@ class TestSharedDominant2x2:
 
     def test_mixed_nondiag_negdet(self):
         fam = [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [0.0, -1.0]])]
-        d = decide_shared_dominant_2x2(fam)
+        d = decide_common_2x2(fam)
         assert d.answer == "no"
         assert d.certificate["failed_condition"] == "NondiagWithNegativeDeterminant"
 
     def test_proportional_trace_zero_pair_yes(self):
         A = np.array([[1.0, 1.0], [0.0, -1.0]])
-        d = decide_shared_dominant_2x2([A, 2.0 * A, np.diag([3.0, 1.0])])
+        d = decide_common_2x2([A, 2.0 * A, np.diag([3.0, 1.0])])
         assert d.answer == "yes"
 
     def test_narrowing_below_the_first_step(self):
@@ -394,10 +394,6 @@ class TestSharedDominant2x2:
         assert d.certificate["delta"] < 0.1
         for M in fam:
             assert is_invariant(d.witness, M).invariant
-
-    def test_no_common_line_precondition(self):
-        with pytest.raises(PreconditionFailed):
-            decide_shared_dominant_2x2([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
 
 
 class TestDecideCommon:
@@ -541,6 +537,52 @@ class TestDecideCommon:
         d = decide_common_2x2(fam)
         assert d.certificate["construction"] == "big cone over dominant directions and their images"
         assert len(calls) == len(extended_family(fam)) == 6
+
+    @staticmethod
+    def _count_cone_calls(monkeypatch, fam):
+        calls = {"conic_hull": 0, "prune_generators": 0, "is_proper": 0}
+
+        def counting(name):
+            real = getattr(conelab.planar, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(conelab.planar, name, counting(name))
+        return decide_common_2x2(fam), calls
+
+    def test_big_cone_builds_prunes_and_checks_its_candidate_once(self, monkeypatch):
+        fam = [np.diag([2.0, 1.0]), from_eigs([1, 1], [1, -2], 2.0, -1.0)]
+        d, calls = self._count_cone_calls(monkeypatch, fam)
+        assert d.certificate["construction"] == "big cone over dominant directions and their images"
+        assert calls == {"conic_hull": 1, "prune_generators": 1, "is_proper": 1}
+
+    def test_shared_line_builds_prunes_and_checks_each_candidate_once(self, monkeypatch):
+        # the narrowing family of TestSharedDominant2x2: the first side
+        # succeeds after halving delta = 0.1 some k times, so k + 1 candidates
+        u = [1.0, 0.0]
+        fam = [from_eigs(u, [np.cos(0.05), np.sin(0.05)], 1.0, 0.5),
+               from_eigs(u, [np.cos(2.0), np.sin(2.0)], 1.0, -0.3)]
+        d, calls = self._count_cone_calls(monkeypatch, fam)
+        assert d.answer == "yes"
+        candidates = round(np.log2(0.1 / d.certificate["delta"])) + 1
+        assert candidates > 1
+        assert calls == {"conic_hull": candidates, "prune_generators": candidates, "is_proper": candidates}
+
+    @pytest.mark.parametrize("answer", ["yes", "no"])
+    def test_two_lines_build_prune_and_check_the_candidate_once(self, monkeypatch, answer):
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        B = np.array([[1.0, 0.0], [1.0, 1.0]])
+        C = from_eigs([1, 1], [1, -2], 2.0, -1.9)  # breaks the catalog's ratio bound on the orthant
+        fam = [A, B] if answer == "yes" else [A, C, B]
+        d, calls = self._count_cone_calls(monkeypatch, fam)
+        assert d.answer == answer
+        if answer == "no":
+            assert d.certificate["failed_condition"] == "TwoLineConditionFails"
+        assert calls == {"conic_hull": 1, "prune_generators": 1, "is_proper": 1}
 
     def test_singular_members_yes_witness_passes_oracle(self):
         # a singular member maps a witness edge to a rounding-level image
